@@ -259,6 +259,13 @@ echo "== fuzz smoke: FuzzWireDecode (10s) =="
 # fuzzing campaign.
 go test -run='^$' -fuzz='^FuzzWireDecode$' -fuzztime=10s ./internal/wire
 
+echo "== fuzz smoke: FuzzSamplerUnmarshal (10s) =="
+# The gt sample decoder builds the sorted in-memory sample straight
+# from the wire (strictly increasing labels, every level re-verified):
+# no bytes may panic it, and every accepted input must re-encode,
+# size, clone and merge consistently.
+go test -run='^$' -fuzz='^FuzzSamplerUnmarshal$' -fuzztime=10s ./internal/core
+
 echo "== fuzz smoke: FuzzClientReadFrame (10s) =="
 # Same budget for the client's reply reader, which replays the wire
 # fuzzer's shared corpus and must agree with it frame for frame.

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/analysis/allocbudget"
@@ -42,12 +41,10 @@ type benchKindResult struct {
 
 // benchReport is the BENCH_absorb.json layout.
 type benchReport struct {
-	Tool   string            `json:"tool"`
-	Note   string            `json:"note"`
-	Go     string            `json:"go"`
-	GOOS   string            `json:"goos"`
-	GOARCH string            `json:"goarch"`
-	Kinds  []benchKindResult `json:"kinds"`
+	Tool string `json:"tool"`
+	Note string `json:"note"`
+	machine
+	Kinds []benchKindResult `json:"kinds"`
 }
 
 // benchSiteEnvelopes builds nsites populated site envelopes of one
@@ -74,11 +71,9 @@ func benchSiteEnvelopes(info sketch.KindInfo, nsites int) ([][]byte, error) {
 // to path ("-" = stdout).
 func runBench(path string) error {
 	report := benchReport{
-		Tool:   "gtbench -bench",
-		Note:   "coordinator absorb path, raw sketch merge, and envelope decode per registered kind; allocs_licensed is the allocflow absorb ceiling (-1 = statically unbounded) and allocs_budget_ok reports observed <= licensed; regenerate with: go run ./cmd/gtbench -bench BENCH_absorb.json",
-		Go:     runtime.Version(),
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
+		Tool:    "gtbench -bench",
+		Note:    "coordinator absorb path, raw sketch merge, and envelope decode per registered kind; allocs_licensed is the allocflow absorb ceiling (-1 = statically unbounded) and allocs_budget_ok reports observed <= licensed; regenerate with: go run ./cmd/gtbench -bench BENCH_absorb.json",
+		machine: thisMachine(),
 	}
 	// Harvest the allocflow summaries once so every kind's absorb
 	// figure is judged against its licensed malloc ceiling.

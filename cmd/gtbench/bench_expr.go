@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -26,11 +25,9 @@ import (
 
 // exprBenchReport is the BENCH_expr.json layout.
 type exprBenchReport struct {
-	Tool    string            `json:"tool"`
-	Note    string            `json:"note"`
-	Go      string            `json:"go"`
-	GOOS    string            `json:"goos"`
-	GOARCH  string            `json:"goarch"`
+	Tool string `json:"tool"`
+	Note string `json:"note"`
+	machine
 	Sketch  exprBenchSketch   `json:"sketch"`
 	Queries []exprBenchResult `json:"queries"`
 }
@@ -137,12 +134,10 @@ func runBenchExpr(path string) error {
 	}
 
 	report := exprBenchReport{
-		Tool:   "gtbench -bench-expr",
-		Note:   "set-expression evaluation (AnswerExpr) per shape on an in-process coordinator; regenerate with: go run ./cmd/gtbench -bench-expr BENCH_expr.json",
-		Go:     runtime.Version(),
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-		Sketch: exprBenchSketch{Kind: "gt", Capacity: 256, Copies: 5, Streams: streams, Distinct: distinct},
+		Tool:    "gtbench -bench-expr",
+		Note:    "set-expression evaluation (AnswerExpr) per shape on an in-process coordinator; regenerate with: go run ./cmd/gtbench -bench-expr BENCH_expr.json",
+		machine: thisMachine(),
+		Sketch:  exprBenchSketch{Kind: "gt", Capacity: 256, Copies: 5, Streams: streams, Distinct: distinct},
 	}
 	for _, s := range shapes {
 		res, err := benchExprQuery(srv, s.name, s.expr)

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -27,11 +26,9 @@ import (
 
 // relayBenchReport is the BENCH_relay.json layout.
 type relayBenchReport struct {
-	Tool       string           `json:"tool"`
-	Note       string           `json:"note"`
-	Go         string           `json:"go"`
-	GOOS       string           `json:"goos"`
-	GOARCH     string           `json:"goarch"`
+	Tool string `json:"tool"`
+	Note string `json:"note"`
+	machine
 	RelayFlush relayFlushResult `json:"relay_flush"`
 	PushBatch  pushBatchResult  `json:"push_batch"`
 }
@@ -154,11 +151,9 @@ func runBenchRelay(path string) error {
 	}
 
 	report := relayBenchReport{
-		Tool:   "gtbench -bench-relay",
-		Note:   "relay FlushRelay round (snapshot + batched upstream push over loopback TCP) and client.PushBatch; regenerate with: go run ./cmd/gtbench -bench-relay BENCH_relay.json",
-		Go:     runtime.Version(),
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
+		Tool:    "gtbench -bench-relay",
+		Note:    "relay FlushRelay round (snapshot + batched upstream push over loopback TCP) and client.PushBatch; regenerate with: go run ./cmd/gtbench -bench-relay BENCH_relay.json",
+		machine: thisMachine(),
 		RelayFlush: relayFlushResult{
 			Groups:     groups,
 			NsPerFlush: float64(flush.NsPerOp()),

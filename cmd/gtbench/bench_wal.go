@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/sketch"
@@ -23,11 +22,9 @@ import (
 
 // walBenchReport is the BENCH_wal.json layout.
 type walBenchReport struct {
-	Tool        string          `json:"tool"`
-	Note        string          `json:"note"`
-	Go          string          `json:"go"`
-	GOOS        string          `json:"goos"`
-	GOARCH      string          `json:"goarch"`
+	Tool string `json:"tool"`
+	Note string `json:"note"`
+	machine
 	AppendFsync walAppendResult `json:"append_fsync"`
 	AppendAsync walAppendResult `json:"append_nosync"`
 	Replay      walReplayResult `json:"replay"`
@@ -164,11 +161,9 @@ func runBenchWAL(path string) error {
 		return err
 	}
 	report := walBenchReport{
-		Tool:   "gtbench -bench-wal",
-		Note:   "envelope Append under SyncAlways/SyncNever and full-log Open+Replay throughput; regenerate with: go run ./cmd/gtbench -bench-wal BENCH_wal.json",
-		Go:     runtime.Version(),
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
+		Tool:    "gtbench -bench-wal",
+		Note:    "envelope Append under SyncAlways/SyncNever and full-log Open+Replay throughput; regenerate with: go run ./cmd/gtbench -bench-wal BENCH_wal.json",
+		machine: thisMachine(),
 	}
 	if report.AppendFsync, err = benchAppend(env, wal.SyncAlways); err != nil {
 		return err

@@ -171,28 +171,30 @@ func (e *Estimator) Reset() {
 	}
 }
 
-// Clone returns a deep copy.
-func (e *Estimator) Clone() *Estimator {
+// Clone implements sketch.Sketch: a deep copy that shares no sample
+// state with e, made of one slice copy per sampler copy. The copies'
+// Sampler values share one allocation.
+func (e *Estimator) Clone() sketch.Sketch {
 	c := &Estimator{cfg: e.cfg, copies: make([]*Sampler, len(e.copies))}
+	block := make([]Sampler, len(e.copies))
 	for i, s := range e.copies {
-		c.copies[i] = s.Clone()
+		s.copyTo(&block[i])
+		c.copies[i] = &block[i]
 	}
 	return c
 }
 
 // MarshalBinary encodes the estimator: a small header followed by each
-// copy's encoding, length-prefixed.
+// copy's encoding, length-prefixed. The buffer is sized exactly up
+// front, so encoding allocates once.
 func (e *Estimator) MarshalBinary() ([]byte, error) {
-	b := []byte{wireMagic0, wireMagic1, wireVersion}
+	b := make([]byte, 0, e.SizeBytes())
+	b = append(b, wireMagic0, wireMagic1, wireVersion)
 	b = binary.LittleEndian.AppendUint64(b, e.cfg.Seed)
 	b = binary.AppendUvarint(b, uint64(len(e.copies)))
 	for _, s := range e.copies {
-		enc, err := s.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		b = binary.AppendUvarint(b, uint64(len(enc)))
-		b = append(b, enc...)
+		b = binary.AppendUvarint(b, uint64(s.SizeBytes()))
+		b, _ = s.AppendBinary(b)
 	}
 	return b, nil
 }
@@ -254,13 +256,15 @@ func (e *Estimator) UnmarshalBinary(data []byte) error {
 }
 
 // SizeBytes returns the estimator's wire-encoding length: the total
-// communication a party sends in the one-shot model.
+// communication a party sends in the one-shot model. It is computed
+// from the copies' sizes, without encoding.
 func (e *Estimator) SizeBytes() int {
-	b, err := e.MarshalBinary()
-	if err != nil {
-		return 0
+	n := 3 + 8 + uvarintLen(uint64(len(e.copies))) // magic, version, seed, copy count
+	for _, s := range e.copies {
+		sz := s.SizeBytes()
+		n += uvarintLen(uint64(sz)) + sz
 	}
-	return len(b)
+	return n
 }
 
 // Median returns the median of vals (the mean of the two central

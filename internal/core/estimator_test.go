@@ -174,7 +174,7 @@ func TestEstimatorResetClone(t *testing.T) {
 	for x := uint64(0); x < 1000; x++ {
 		e.Process(x)
 	}
-	c := e.Clone()
+	c := e.Clone().(*Estimator)
 	e.Reset()
 	if e.EstimateDistinct() != 0 {
 		t.Error("Reset did not clear estimate")

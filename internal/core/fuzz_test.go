@@ -28,11 +28,17 @@ func FuzzSamplerUnmarshal(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
+		if s.SizeBytes() != len(re) {
+			t.Fatalf("SizeBytes %d != encoded length %d", s.SizeBytes(), len(re))
+		}
 		var s2 Sampler
 		if err := s2.UnmarshalBinary(re); err != nil {
 			t.Fatalf("decoded sketch does not round-trip: %v", err)
 		}
 		clone := s.Clone()
+		if enc, _ := clone.MarshalBinary(); string(enc) != string(re) {
+			t.Fatalf("clone encodes differently from its source")
+		}
 		if err := s.Merge(clone); err != nil {
 			t.Fatalf("self-merge failed: %v", err)
 		}

@@ -3,7 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"repro/internal/hashing"
 )
@@ -37,40 +37,59 @@ const (
 // MarshalBinary encodes the sampler. The encoding is deterministic
 // (entries are sorted), so equal samplers encode identically.
 func (s *Sampler) MarshalBinary() ([]byte, error) {
-	return s.AppendBinary(nil)
+	return s.AppendBinary(make([]byte, 0, s.SizeBytes()))
 }
 
 // AppendBinary appends the sampler's encoding to b and returns the
-// extended slice.
+// extended slice. The sample is already sorted by label, so this is
+// one linear walk.
 func (s *Sampler) AppendBinary(b []byte) ([]byte, error) {
-	labels := s.Sample()
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-
+	s.flush()
 	b = append(b, wireMagic0, wireMagic1, wireVersion, byte(s.cfg.Family), byte(s.cfg.Raise))
 	b = binary.LittleEndian.AppendUint64(b, s.cfg.Seed)
 	b = binary.AppendUvarint(b, uint64(s.cfg.Capacity))
 	b = binary.AppendUvarint(b, uint64(s.level))
-	b = binary.AppendUvarint(b, uint64(len(labels)))
-	prev := uint64(0)
-	for i, label := range labels {
-		if i == 0 {
-			b = binary.AppendUvarint(b, label)
-		} else {
-			b = binary.AppendUvarint(b, label-prev)
-		}
-		prev = label
-		b = binary.AppendUvarint(b, s.entries[label].weight)
+	b = binary.AppendUvarint(b, uint64(len(s.entries)))
+	prev := uint64(0) // the first label is sent as a delta from 0
+	for _, e := range s.entries {
+		b = binary.AppendUvarint(b, e.label-prev)
+		b = binary.AppendUvarint(b, e.weight)
+		prev = e.label
 	}
 	return b, nil
+}
+
+// SizeBytes returns the length of the sampler's wire encoding — the
+// quantity charged as per-party communication in experiments E4/E6 —
+// computed from the entries' varint lengths without encoding.
+func (s *Sampler) SizeBytes() int {
+	s.flush()
+	n := headerLen + uvarintLen(uint64(s.cfg.Capacity)) + uvarintLen(uint64(s.level)) + uvarintLen(uint64(len(s.entries)))
+	prev := uint64(0)
+	for _, e := range s.entries {
+		n += uvarintLen(e.label-prev) + uvarintLen(e.weight)
+		prev = e.label
+	}
+	return n
+}
+
+// headerLen is the fixed prefix of a sampler encoding: magic, version,
+// family, raise tag and seed.
+const headerLen = 13
+
+// uvarintLen is len(binary.AppendUvarint(nil, x)).
+func uvarintLen(x uint64) int {
+	return (bits.Len64(x|1) + 6) / 7
 }
 
 // UnmarshalBinary decodes a sampler previously encoded with
 // MarshalBinary, replacing s's state entirely. It returns ErrCorrupt
 // (wrapped with detail) if the message is malformed or internally
-// inconsistent.
+// inconsistent: labels must strictly increase, and every label's
+// recomputed level must be at or above the declared one.
 func (s *Sampler) UnmarshalBinary(data []byte) error {
 	d := decoder{buf: data}
-	if len(data) < 13 {
+	if len(data) < headerLen {
 		return fmt.Errorf("%w: message too short (%d bytes)", ErrCorrupt, len(data))
 	}
 	if data[0] != wireMagic0 || data[1] != wireMagic1 {
@@ -87,8 +106,8 @@ func (s *Sampler) UnmarshalBinary(data []byte) error {
 	if raise != RaiseIncrement && raise != RaiseJump {
 		return fmt.Errorf("%w: unknown raise policy %d", ErrCorrupt, data[4])
 	}
-	seed := binary.LittleEndian.Uint64(data[5:13])
-	d.buf = data[13:]
+	seed := binary.LittleEndian.Uint64(data[5:headerLen])
+	d.buf = data[headerLen:]
 
 	capacity, err := d.uvarint("capacity")
 	if err != nil {
@@ -115,28 +134,28 @@ func (s *Sampler) UnmarshalBinary(data []byte) error {
 	}
 	// Every entry takes at least two bytes (label + weight varints),
 	// so a count beyond half the remaining payload is forged; checking
-	// here keeps the allocation below proportional to the input size.
+	// here keeps the allocation below proportional to the input size
+	// (never to the declared capacity).
 	if count > uint64(len(d.buf))/2+1 {
 		return fmt.Errorf("%w: count %d exceeds payload", ErrCorrupt, count)
 	}
 
-	// Build the sampler by hand rather than via NewSampler: the map
-	// must be sized by the actual entry count, never by the declared
-	// capacity — otherwise a forged header with a huge capacity makes
-	// the decoder allocate gigabytes before any validation fails.
-	cfg := Config{Capacity: int(capacity), Seed: seed, Family: family, Raise: raise}
-	tmp := &Sampler{
-		cfg:     cfg,
+	tmp := Sampler{
+		cfg:     Config{Capacity: int(capacity), Seed: seed, Family: family, Raise: raise},
 		hash:    family.New(seed),
-		entries: make(map[uint64]entry, count),
+		level:   int(level),
+		entries: make([]entry, 0, sampleCap(int(count), int(capacity))),
 	}
-	tmp.level = int(level)
+	// The entry loop decodes varints inline: it runs once per label
+	// and is the whole cost of a decode.
+	buf := d.buf
 	var label uint64
 	for i := uint64(0); i < count; i++ {
-		delta, err := d.uvarint("label")
-		if err != nil {
-			return err
+		delta, n := binary.Uvarint(buf)
+		if n <= 0 {
+			return truncated("label")
 		}
+		buf = buf[n:]
 		if i == 0 {
 			label = delta
 		} else {
@@ -149,21 +168,22 @@ func (s *Sampler) UnmarshalBinary(data []byte) error {
 			}
 			label = next
 		}
-		weight, err := d.uvarint("weight")
-		if err != nil {
-			return err
+		weight, n := binary.Uvarint(buf)
+		if n <= 0 {
+			return truncated("weight")
 		}
+		buf = buf[n:]
 		lvl := hashing.GeometricLevel(tmp.hash.Hash(label))
 		if lvl < tmp.level {
 			return fmt.Errorf("%w: label %d has level %d below sketch level %d", ErrCorrupt, label, lvl, tmp.level)
 		}
-		tmp.entries[label] = entry{weight: weight, level: int32(lvl)}
+		tmp.entries = append(tmp.entries, entry{label: label, weight: weight, level: int32(lvl)})
 		tmp.weightSum += weight
 	}
-	if len(d.buf) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf))
+	if len(buf) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf))
 	}
-	*s = *tmp
+	*s = tmp
 	return nil
 }
 
@@ -176,13 +196,6 @@ func DecodeSampler(data []byte) (*Sampler, error) {
 	return s, nil
 }
 
-// SizeBytes returns the length of the sampler's wire encoding — the
-// quantity charged as per-party communication in experiments E4/E6.
-func (s *Sampler) SizeBytes() int {
-	b, _ := s.AppendBinary(nil)
-	return len(b)
-}
-
 type decoder struct {
 	buf []byte
 }
@@ -190,8 +203,14 @@ type decoder struct {
 func (d *decoder) uvarint(what string) (uint64, error) {
 	v, n := binary.Uvarint(d.buf)
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated %s", ErrCorrupt, what)
+		return 0, truncated(what)
 	}
 	d.buf = d.buf[n:]
 	return v, nil
+}
+
+// truncated is uvarint's error path, kept out of line so uvarint
+// itself inlines into the decode loop.
+func truncated(what string) error {
+	return fmt.Errorf("%w: truncated %s", ErrCorrupt, what)
 }

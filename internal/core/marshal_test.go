@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -178,7 +180,8 @@ func TestUnmarshalRejectsLevelViolation(t *testing.T) {
 		t.Skip("no level-0 label found (astronomically unlikely)")
 	}
 	forged := s.Clone()
-	forged.entries[bad] = entry{weight: 1, level: 0}
+	at, _ := slices.BinarySearchFunc(forged.entries, bad, func(e entry, l uint64) int { return cmp.Compare(e.label, l) })
+	forged.entries = slices.Insert(forged.entries, at, entry{label: bad, weight: 1, level: 0})
 	enc, err := forged.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -203,5 +206,37 @@ func TestSizeBytesGrowsWithCapacity(t *testing.T) {
 	// distinct labels (even 8-byte labels would be 800 KB).
 	if large.SizeBytes() > 32*1024 {
 		t.Errorf("sketch unexpectedly large: %dB", large.SizeBytes())
+	}
+}
+
+// SizeBytes is computed from the entries' varint lengths, never by
+// encoding; it must still equal the encoded length exactly.
+func TestSizeBytesMatchesEncoding(t *testing.T) {
+	r := hashing.NewXoshiro256(77)
+	for trial := 0; trial < 60; trial++ {
+		n := 0
+		if trial > 0 {
+			n = r.Intn(20000)
+		}
+		s := buildSampler(r.Uint64(), n)
+		enc, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.SizeBytes(); got != len(enc) {
+			t.Fatalf("trial %d (%d items): SizeBytes = %d, encoding is %d bytes", trial, n, got, len(enc))
+		}
+
+		e := NewEstimator(EstimatorConfig{Capacity: 1 + r.Intn(300), Copies: 1 + r.Intn(7), Seed: r.Uint64()})
+		for i := 0; i < n; i++ {
+			e.ProcessWeighted(r.Uint64(), r.Uint64()>>r.Intn(64))
+		}
+		enc, err = e.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.SizeBytes(); got != len(enc) {
+			t.Fatalf("trial %d (%d items): estimator SizeBytes = %d, encoding is %d bytes", trial, n, got, len(enc))
+		}
 	}
 }

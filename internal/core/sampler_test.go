@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -480,11 +479,18 @@ func TestSampleSorted(t *testing.T) {
 	for x := uint64(0); x < 1000; x++ {
 		s.Process(x * 31)
 	}
+	// Probe with a partly folded pending buffer too: Sample must fold
+	// it before reading.
+	for x := uint64(1000); x < 1010; x++ {
+		s.Process(x * 31)
+	}
 	labels := s.Sample()
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
+	if len(labels) != s.Len() {
+		t.Fatalf("Sample returned %d labels, Len is %d", len(labels), s.Len())
+	}
 	for i := 1; i < len(labels); i++ {
-		if labels[i] == labels[i-1] {
-			t.Fatal("Sample returned duplicate labels")
+		if labels[i] <= labels[i-1] {
+			t.Fatalf("Sample is not strictly increasing at %d: %d after %d", i, labels[i], labels[i-1])
 		}
 	}
 }

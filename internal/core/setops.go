@@ -25,6 +25,40 @@ func checkCoordinated(a, b *Sampler) error {
 	return nil
 }
 
+// overlap walks two coordinated samples in label order, counting at
+// or above level the labels only a holds, both hold, and only b holds.
+// Every set estimator is a ratio or scaling of these three counts.
+// Callers fold pending labels first (pairLevel does).
+func overlap(a, b *Sampler, level int) (onlyA, both, onlyB int) {
+	x, y := a.entries, b.entries
+	i, j := 0, 0
+	for i < len(x) || j < len(y) {
+		switch {
+		case i < len(x) && int(x[i].level) < level:
+			i++
+		case j < len(y) && int(y[j].level) < level:
+			j++
+		case j == len(y) || (i < len(x) && x[i].label < y[j].label):
+			onlyA++
+			i++
+		case i == len(x) || y[j].label < x[i].label:
+			onlyB++
+			j++
+		default:
+			both++
+			i++
+			j++
+		}
+	}
+	return onlyA, both, onlyB
+}
+
+// pairLevel returns the level set estimators work at: the higher of
+// the two samplers' levels, after folding pending labels.
+func pairLevel(a, b *Sampler) int {
+	return max(a.Level(), b.Level())
+}
+
 // EstimateIntersection estimates |A ∩ B| for the distinct label sets
 // sketched by two coordinated samplers. The effective sample for the
 // intersection has expected size |A∩B|/2^L, so the error guarantee
@@ -34,17 +68,9 @@ func EstimateIntersection(a, b *Sampler) (float64, error) {
 	if err := checkCoordinated(a, b); err != nil {
 		return 0, err
 	}
-	level := max(a.level, b.level)
-	count := 0
-	for label, e := range a.entries {
-		if int(e.level) < level {
-			continue
-		}
-		if be, ok := b.entries[label]; ok && int(be.level) >= level {
-			count++
-		}
-	}
-	return float64(count) * pow2(level), nil
+	level := pairLevel(a, b)
+	_, both, _ := overlap(a, b, level)
+	return float64(both) * pow2(level), nil
 }
 
 // EstimateDifference estimates |A \ B| (labels in A's stream but not
@@ -54,18 +80,9 @@ func EstimateDifference(a, b *Sampler) (float64, error) {
 	if err := checkCoordinated(a, b); err != nil {
 		return 0, err
 	}
-	level := max(a.level, b.level)
-	count := 0
-	for label, e := range a.entries {
-		if int(e.level) < level {
-			continue
-		}
-		if be, ok := b.entries[label]; ok && int(be.level) >= level {
-			continue
-		}
-		count++
-	}
-	return float64(count) * pow2(level), nil
+	level := pairLevel(a, b)
+	onlyA, _, _ := overlap(a, b, level)
+	return float64(onlyA) * pow2(level), nil
 }
 
 // EstimateJaccard estimates the Jaccard similarity
@@ -76,30 +93,12 @@ func EstimateJaccard(a, b *Sampler) (float64, error) {
 	if err := checkCoordinated(a, b); err != nil {
 		return 0, err
 	}
-	level := max(a.level, b.level)
-	inter, union := 0, 0
-	for label, e := range a.entries {
-		if int(e.level) < level {
-			continue
-		}
-		union++
-		if be, ok := b.entries[label]; ok && int(be.level) >= level {
-			inter++
-		}
-	}
-	for label, e := range b.entries {
-		if int(e.level) < level {
-			continue
-		}
-		if ae, ok := a.entries[label]; ok && int(ae.level) >= level {
-			continue // already counted via a
-		}
-		union++
-	}
+	onlyA, both, onlyB := overlap(a, b, pairLevel(a, b))
+	union := onlyA + both + onlyB
 	if union == 0 {
 		return 0, nil
 	}
-	return float64(inter) / float64(union), nil
+	return float64(both) / float64(union), nil
 }
 
 // Sketch-valued set operations. The same invariant that makes the
@@ -117,18 +116,7 @@ func IntersectSamplers(a, b *Sampler) (*Sampler, error) {
 	if err := checkCoordinated(a, b); err != nil {
 		return nil, err
 	}
-	out := NewSampler(a.cfg)
-	out.level = max(a.level, b.level)
-	for label, e := range a.entries {
-		if int(e.level) < out.level {
-			continue
-		}
-		if be, ok := b.entries[label]; ok && int(be.level) >= out.level {
-			out.entries[label] = e
-			out.weightSum += e.weight
-		}
-	}
-	return out, nil
+	return selectShared(a, b, true), nil
 }
 
 // DiffSamplers returns a coordinated level-max(La,Lb) sample of A \ B.
@@ -136,19 +124,30 @@ func DiffSamplers(a, b *Sampler) (*Sampler, error) {
 	if err := checkCoordinated(a, b); err != nil {
 		return nil, err
 	}
-	out := NewSampler(a.cfg)
-	out.level = max(a.level, b.level)
-	for label, e := range a.entries {
+	return selectShared(a, b, false), nil
+}
+
+// selectShared returns the sample of a's entries at or above
+// max(La, Lb) that b also holds (shared) or lacks (!shared), in one
+// two-way merge. A label has the same level in both coordinated
+// samplers, so a's level check covers b's entry too.
+func selectShared(a, b *Sampler, shared bool) *Sampler {
+	out := &Sampler{cfg: a.cfg, hash: a.hash, level: pairLevel(a, b)}
+	out.entries = make([]entry, 0, len(a.entries))
+	j := 0
+	for _, e := range a.entries {
 		if int(e.level) < out.level {
 			continue
 		}
-		if be, ok := b.entries[label]; ok && int(be.level) >= out.level {
-			continue
+		for j < len(b.entries) && b.entries[j].label < e.label {
+			j++
 		}
-		out.entries[label] = e
-		out.weightSum += e.weight
+		if inB := j < len(b.entries) && b.entries[j].label == e.label; inB == shared {
+			out.entries = append(out.entries, e)
+			out.weightSum += e.weight
+		}
 	}
-	return out, nil
+	return out
 }
 
 // Estimator-level variants: medians across the paired copies.

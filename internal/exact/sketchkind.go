@@ -3,6 +3,7 @@ package exact
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/sketch"
@@ -48,6 +49,11 @@ func (d *Distinct) Kind() sketch.Kind { return sketch.KindExact }
 
 // Seed implements sketch.Sketch: exact sets are seedless.
 func (d *Distinct) Seed() uint64 { return 0 }
+
+// Clone implements sketch.Sketch: a copy of the value map.
+func (d *Distinct) Clone() sketch.Sketch {
+	return &Distinct{values: maps.Clone(d.values), sum: d.sum}
+}
 
 // Digest implements sketch.Sketch: every exact set is
 // merge-compatible with every other, so the digest is constant.

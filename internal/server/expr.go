@@ -29,7 +29,7 @@ import (
 //
 // Kinds without the needed capability refuse with AckUnsupported,
 // exactly like Summer gating on the flat query path. Evaluation works
-// on clones (envelope round trips), never on live group state, so a
+// on in-memory clones (Sketch.Clone), never on live group state, so a
 // query can run concurrently with absorbs.
 
 // errExprUnsupported marks a capability refusal: the group's kind
@@ -223,19 +223,15 @@ func (s *Server) selectStreamGroup(stream string, eq wire.ExprQuery) (*group, er
 }
 
 // cloneSketch snapshots the group's merged sketch as an independent
-// copy via an envelope round trip, so expression evaluation never
-// mutates (or holds the lock of) live group state.
+// in-memory copy (Sketch.Clone), so expression evaluation never
+// mutates live group state and holds the group lock only for the copy.
 func (g *group) cloneSketch() (sketch.Sketch, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.sk == nil {
 		return nil, fmt.Errorf("server: group %s/%016x holds no sketch", g.name, g.digest)
 	}
-	env, err := sketch.Envelope(g.sk)
-	if err != nil {
-		return nil, err
-	}
-	return sketch.Open(env)
+	return g.sk.Clone(), nil
 }
 
 // relativeStdErr reports the kind's configured relative standard

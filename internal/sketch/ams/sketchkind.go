@@ -2,6 +2,7 @@ package ams
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sketch"
 )
@@ -35,6 +36,14 @@ func (s *Sketch) Kind() sketch.Kind { return sketch.KindAMS }
 
 // Seed implements sketch.Sketch.
 func (s *Sketch) Seed() uint64 { return s.seed }
+
+// Clone implements sketch.Sketch: a copy of the per-copy maxima. The
+// hash functions are immutable and shared.
+func (s *Sketch) Clone() sketch.Sketch {
+	c := *s
+	c.maxLvl = slices.Clone(s.maxLvl)
+	return &c
+}
 
 // Digest implements sketch.Sketch.
 func (s *Sketch) Digest() uint64 {

@@ -2,6 +2,7 @@ package bjkst
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/sketch"
 )
@@ -38,6 +39,13 @@ func (s *Sketch) Kind() sketch.Kind { return sketch.KindBJKST }
 
 // Seed implements sketch.Sketch.
 func (s *Sketch) Seed() uint64 { return s.seed }
+
+// Clone implements sketch.Sketch: a copy of the bucket map.
+func (s *Sketch) Clone() sketch.Sketch {
+	c := *s
+	c.buckets = maps.Clone(s.buckets)
+	return &c
+}
 
 // Digest implements sketch.Sketch.
 func (s *Sketch) Digest() uint64 {

@@ -1,6 +1,10 @@
 package fm
 
-import "repro/internal/sketch"
+import (
+	"slices"
+
+	"repro/internal/sketch"
+)
 
 func init() {
 	sketch.Register(sketch.KindInfo{
@@ -25,6 +29,14 @@ func (s *Sketch) Kind() sketch.Kind { return sketch.KindFM }
 
 // Seed implements sketch.Sketch.
 func (s *Sketch) Seed() uint64 { return s.seed }
+
+// Clone implements sketch.Sketch: a copy of the bitmaps. The hash
+// functions are immutable and shared.
+func (s *Sketch) Clone() sketch.Sketch {
+	c := *s
+	c.bitmaps = slices.Clone(s.bitmaps)
+	return &c
+}
 
 // Digest implements sketch.Sketch.
 func (s *Sketch) Digest() uint64 {

@@ -1,6 +1,11 @@
 package kmv
 
-import "repro/internal/sketch"
+import (
+	"maps"
+	"slices"
+
+	"repro/internal/sketch"
+)
 
 func init() {
 	sketch.Register(sketch.KindInfo{
@@ -25,6 +30,15 @@ func (s *Sketch) Kind() sketch.Kind { return sketch.KindKMV }
 
 // Seed implements sketch.Sketch.
 func (s *Sketch) Seed() uint64 { return s.seed }
+
+// Clone implements sketch.Sketch: copies of the heap and of its
+// membership map.
+func (s *Sketch) Clone() sketch.Sketch {
+	c := *s
+	c.heap = slices.Clone(s.heap)
+	c.members = maps.Clone(s.members)
+	return &c
+}
 
 // Digest implements sketch.Sketch.
 func (s *Sketch) Digest() uint64 {

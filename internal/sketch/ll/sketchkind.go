@@ -1,6 +1,10 @@
 package ll
 
-import "repro/internal/sketch"
+import (
+	"slices"
+
+	"repro/internal/sketch"
+)
 
 func init() {
 	sketch.Register(sketch.KindInfo{
@@ -25,6 +29,14 @@ func (s *Sketch) Kind() sketch.Kind { return sketch.KindLogLog }
 
 // Seed implements sketch.Sketch.
 func (s *Sketch) Seed() uint64 { return s.seed }
+
+// Clone implements sketch.Sketch: a copy of the registers. The hash
+// functions are immutable and shared.
+func (s *Sketch) Clone() sketch.Sketch {
+	c := *s
+	c.regs = slices.Clone(s.regs)
+	return &c
+}
 
 // Digest implements sketch.Sketch.
 func (s *Sketch) Digest() uint64 {

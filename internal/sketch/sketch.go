@@ -76,6 +76,11 @@ type Sketch interface {
 	// MarshalBinary returns the kind's canonical payload encoding
 	// (without the envelope header; see Envelope).
 	MarshalBinary() ([]byte, error)
+	// Clone returns an independent deep copy: it encodes identically
+	// to the receiver, and processing into or merging into either
+	// leaves the other unchanged. It is the in-memory equivalent of an
+	// Envelope/Open round trip, without the encode and decode.
+	Clone() Sketch
 	// Kind returns the sketch's registered kind tag.
 	Kind() Kind
 	// Seed returns the coordination seed (0 for seedless kinds).

@@ -164,6 +164,8 @@ func Conform(t *testing.T, info sketch.KindInfo) {
 		}
 	})
 
+	t.Run("clone", func(t *testing.T) { conformClone(t, a, b) })
+
 	t.Run("set-algebra", func(t *testing.T) { conformSetAlgebra(t, info, a, b) })
 
 	t.Run("estimate-sane", func(t *testing.T) {
@@ -299,5 +301,52 @@ func conformSetAlgebra(t *testing.T, info sketch.KindInfo, a, b sketch.Sketch) {
 		if _, err := comb.CombineDiff(other); !errors.Is(err, sketch.ErrMismatch) {
 			t.Errorf("mismatched CombineDiff: err = %v, want sketch.ErrMismatch", err)
 		}
+	}
+}
+
+// conformClone holds Clone to the contract of the envelope round trip
+// it replaces on the query path: the copy encodes identically, shares
+// no state with its source in either direction, and merges exactly
+// like a copy decoded through the registry.
+func conformClone(t *testing.T, a, b sketch.Sketch) {
+	src := clone(t, a)
+	want := canon(t, src)
+	cp := src.Clone()
+	if cp.Kind() != src.Kind() || cp.Seed() != src.Seed() || cp.Digest() != src.Digest() {
+		t.Errorf("Clone changed identity: kind %v/%v seed %d/%d digest %x/%x",
+			cp.Kind(), src.Kind(), cp.Seed(), src.Seed(), cp.Digest(), src.Digest())
+	}
+	if !bytes.Equal(canon(t, cp), want) {
+		t.Fatalf("Clone does not encode identically to its source")
+	}
+
+	for x := uint64(5000); x < 7000; x++ {
+		cp.Process(x)
+	}
+	if err := cp.Merge(clone(t, b)); err != nil {
+		t.Fatalf("merge into clone: %v", err)
+	}
+	if !bytes.Equal(canon(t, src), want) {
+		t.Errorf("processing and merging into a clone changed its source")
+	}
+
+	// The other direction: mutating the source leaves an earlier
+	// clone as it was.
+	cp = src.Clone()
+	if err := src.Merge(clone(t, b)); err != nil {
+		t.Fatalf("merge into source: %v", err)
+	}
+	if !bytes.Equal(canon(t, cp), want) {
+		t.Errorf("merging into the source changed an earlier clone")
+	}
+
+	// A clone merges exactly like an Opened copy, as receiver and as
+	// argument.
+	viaClone := a.Clone()
+	if err := viaClone.Merge(b.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(canon(t, viaClone), merged(t, a, b)) {
+		t.Errorf("merging clones differs from merging Opened copies")
 	}
 }

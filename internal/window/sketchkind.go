@@ -106,6 +106,12 @@ func (u *Union) Kind() sketch.Kind { return sketch.KindWindow }
 // Seed implements sketch.Sketch.
 func (u *Union) Seed() uint64 { return u.sk.cfg.Seed }
 
+// Clone implements sketch.Sketch: a deep copy of the window sketch
+// and its logical clock.
+func (u *Union) Clone() sketch.Sketch {
+	return &Union{sk: u.sk.clone(), now: u.now}
+}
+
 // Digest implements sketch.Sketch.
 func (u *Union) Digest() uint64 {
 	return sketch.ConfigDigest(sketch.KindWindow,

@@ -40,6 +40,8 @@ package window
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/hashing"
@@ -217,6 +219,21 @@ func New(cfg Config) *Sketch {
 		s.levels[i] = newLevelSample(cfg.Capacity)
 	}
 	return s
+}
+
+// clone returns a deep copy: every level's index map, entry list and
+// free list are copied. The hash function is immutable and shared.
+func (s *Sketch) clone() *Sketch {
+	c := *s
+	c.levels = make([]*levelSample, len(s.levels))
+	for i, ls := range s.levels {
+		cl := *ls
+		cl.idx = maps.Clone(ls.idx)
+		cl.entries = slices.Clone(ls.entries)
+		cl.free = slices.Clone(ls.free)
+		c.levels[i] = &cl
+	}
+	return &c
 }
 
 // Config returns the sketch's configuration.

@@ -243,7 +243,7 @@ func (s *Sketch) SizeBytes() int { return s.est.SizeBytes() }
 func (s *Sketch) Reset() { s.est.Reset() }
 
 // Clone returns an independent deep copy.
-func (s *Sketch) Clone() *Sketch { return &Sketch{est: s.est.Clone()} }
+func (s *Sketch) Clone() *Sketch { return &Sketch{est: s.est.Clone().(*core.Estimator)} }
 
 // Epsilon returns the per-copy relative-error target implied by the
 // sketch's capacity.
