@@ -2,9 +2,10 @@
 # ci.sh — the repository's tier-1 gate, plus the race detector, the
 # unionlint static-analysis suite, and a short fuzz smoke run.
 #
-# The networked coordinator (internal/server) absorbs sketches from
-# concurrent connections through a worker pool; every change must keep
-# that path race-clean, so CI always runs the full suite under -race.
+# The networked coordinator (internal/server) absorbs sketches on each
+# connection's reader goroutine, up to GOMAXPROCS at once; every change
+# must keep that path race-clean, so CI always runs the full suite
+# under -race.
 # unionlint (cmd/unionlint, see README "Static analysis") enforces the
 # invariants the compiler can't: coordinated seeding, documented mutex
 # guards, the %w error contract at the wire boundary, float comparison
@@ -25,26 +26,13 @@ GOVULNCHECK_VERSION="${GOVULNCHECK_VERSION:-v1.1.3}"
 echo "== go vet =="
 go vet ./...
 
-echo "== lockorder golden suite =="
-# The deadlock analyzer's pinned scenarios (cross-package ordering
-# cycle, self-deadlock, blocking-while-locked, lockorder:allow escape)
-# plus the .vetx two-run fact round-trip run first and by name: the
-# whole-module verdict below is only as good as these fixtures.
-go test -count=1 ./internal/analysis/lockorder
-
-echo "== allocflow golden suite =="
-# The allocation-flow analyzer's pinned scenarios (transitive summary
-# propagation, baseline gating, ceiling arithmetic) plus the vet-cache
-# fact round-trip run first and by name: the whole-module budget
-# verdict below is only as good as these fixtures.
-go test -count=1 -run 'TestAllocflow|TestBaselineGating|TestCeiling' ./internal/analysis/allocflow
-go test -count=1 -run 'TestAllocFlowFactsRoundTrip' ./internal/analysis/driver
-
 echo "== unionlint self-test (golden suites) =="
 # The linter's own analysistest suites run before the linter is trusted
 # with the tree: a broken analyzer must fail loudly here, not silently
-# under-report in the vettool pass below.
-go test ./internal/analysis/...
+# under-report in the vettool pass below. This includes the lockorder
+# and allocflow golden suites and their .vetx fact round-trips
+# (internal/analysis/driver).
+go test -count=1 ./internal/analysis/...
 
 echo "== unionlint =="
 UNIONLINT="$(go env GOPATH)/bin/unionlint"
@@ -127,114 +115,46 @@ echo "== go build =="
 go build ./...
 
 echo "== go test -race =="
-go test -race ./...
+# Includes the sketch conformance suite (internal/sketch, every
+# registered kind) and the hot-path allocation cross-check
+# (internal/allocgate: allocflow ceilings vs testing.AllocsPerRun).
+go test -race -count=1 ./...
 
-echo "== sketch conformance (all registered kinds, -race) =="
-# The shared conformance suite (internal/sketch/sketchtest) run against
-# every registered kind: envelope round-trips, byte-identical
-# commutative/associative/idempotent merges, typed mismatch refusals.
-# Already covered by the ./... run above, but named here so a failure
-# in a newly registered kind is unmistakable in the CI log.
-go test -race -run '^TestConformance$' -count=1 ./internal/sketch
-
-echo "== hot-path allocation cross-check (allocflow ceilings vs AllocsPerRun, -race) =="
-# The runtime anchor of the allocflow tentpole: every registered kind's
-# Process/Merge/decode/absorb path plus the WAL append is driven under
-# testing.AllocsPerRun and compared against the malloc ceiling its
-# summaries license (internal/allocgate). Already part of the ./... run
-# above, but named here so a budget breach is unmistakable in the log.
-go test -race -run '^TestHotPathAllocSummaries$' -count=1 ./internal/allocgate
-
-echo "== chaos suite (seeds 1..3) =="
-# The deterministic fault-injection suites (internal/failpoint +
-# internal/faultnet): every seeded fault schedule must leave the
-# coordinator bit-identical to the fault-free serial run and reproduce
-# the identical fault trace. Only these packages define -chaos.seed,
-# so the sweep names them explicitly instead of using ./... .
-CHAOS_PKGS=(./internal/server ./internal/client ./internal/distnet)
-CHAOS_FAILED=()
+echo "== seeded suites: chaos, cluster, set-expression, WAL recovery (seeds 1..3, -race) =="
+# The suites that take -chaos.seed, swept over seeds 1..3 in one run
+# per seed. Each seeded schedule must leave the coordinator
+# bit-identical to its fault-free control:
+#   - chaos: seeded fault schedules through internal/failpoint and
+#     internal/faultnet reproduce the identical fault trace;
+#   - cluster: three shards relaying into a parent, through faulty hops
+#     and across shard death with ring migration;
+#   - set-expression: nested queries over named streams on a 3-shard
+#     ring are float64-identical to local evaluation;
+#   - WAL recovery: a coordinator killed at each wal/* failpoint, or
+#     with a torn tail, reboots from its log (single, relay and
+#     3-shard topologies).
+# Only these packages define -chaos.seed, so they are named explicitly
+# instead of using ./... .
+SEEDED_PKGS=(./internal/server ./internal/client ./internal/distnet)
+SEEDED_RUN='Chaos|TestClusterShardDeathMigrationConverges|TestExprShardedCluster|TestWALRecovery|TestWALClusterParentCrashRecovery'
+SEEDED_FAILED=()
 for seed in 1 2 3; do
     echo "-- chaos.seed=$seed --"
-    if ! go test -race -run 'Chaos' "${CHAOS_PKGS[@]}" -chaos.seed="$seed"; then
-        CHAOS_FAILED+=("$seed")
+    if ! go test -race -run "$SEEDED_RUN" "${SEEDED_PKGS[@]}" -chaos.seed="$seed"; then
+        SEEDED_FAILED+=("$seed")
     fi
 done
-if ((${#CHAOS_FAILED[@]})); then
-    echo "ci.sh: chaos suite failed for seed(s): ${CHAOS_FAILED[*]}" \
-         "(replay one with: go test -race -run Chaos <pkg> -chaos.seed=<seed>)"
-    exit 1
-fi
-
-echo "== cluster convergence (3 shards -> parent, seeds 1..3, -race) =="
-# The sharded-tier tentpole: three shards relaying into a parent must
-# leave the parent bit-identical to a single coordinator that absorbed
-# every site push directly — through seeded faults on both hops, and
-# across shard death with ring migration. The fault-free 10^5-group
-# run (TestClusterConvergesBitIdentical) is already part of the
-# 'go test -race ./...' pass above; this gate names the chaos and
-# shard-death legs per seed so a divergence is unmistakable.
-CLUSTER_FAILED=()
-for seed in 1 2 3; do
-    echo "-- cluster chaos.seed=$seed --"
-    if ! go test -race -run 'TestChaosClusterConvergesThroughFaultyHops|TestClusterShardDeathMigrationConverges' \
-            ./internal/distnet -chaos.seed="$seed"; then
-        CLUSTER_FAILED+=("$seed")
-    fi
-done
-if ((${#CLUSTER_FAILED[@]})); then
-    echo "ci.sh: cluster convergence failed for seed(s): ${CLUSTER_FAILED[*]}."
-    echo "ci.sh: the ring and migration logic live in internal/cluster, the relay" \
-         "flush in internal/server/relay.go, the batched/sharded push in" \
-         "internal/client; replay one seed with:" \
-         "go test -race -run Cluster ./internal/distnet -chaos.seed=<seed>"
-    exit 1
-fi
-
-echo "== set-expression queries (3 named streams, 3 shards -> parent, seeds 1..3, -race) =="
-# The set-expression acceptance leg: three named streams pushed across
-# a 3-shard ring (placement varies with the seed), nested expression
-# queries — (A∪B)∩C, A\B, Jaccard — routed shard- or parent-side, and
-# every answer must be float64-identical to a local evaluation through
-# internal/core's set operations, with the parent bit-identical to a
-# single coordinator absorbing the same named pushes directly
-# (internal/distnet/expr_test.go).
-EXPR_FAILED=()
-for seed in 1 2 3; do
-    echo "-- expr chaos.seed=$seed --"
-    if ! go test -race -run 'TestExprShardedCluster' \
-            ./internal/distnet -chaos.seed="$seed"; then
-        EXPR_FAILED+=("$seed")
-    fi
-done
-if ((${#EXPR_FAILED[@]})); then
-    echo "ci.sh: set-expression leg failed for seed(s): ${EXPR_FAILED[*]}."
-    echo "ci.sh: the expression evaluator lives in internal/server/expr.go, the" \
-         "QueryExpr routing in internal/client/sharded.go, the stream-carrying" \
-         "relay in internal/server/relay.go; replay one seed with:" \
-         "go test -race -run TestExprShardedCluster ./internal/distnet -chaos.seed=<seed>"
-    exit 1
-fi
-
-echo "== WAL crash-recovery matrix (every wal/* failpoint + torn tail, seeds 1..3, -race) =="
-# The durability tentpole: a coordinator killed at each wal/append,
-# wal/fsync, wal/rotate, wal/snapshot, and wal/replay failpoint — plus
-# a torn-tail crash — must reboot from its log and converge
-# bit-identically to an uninterrupted control, in the single, relay,
-# and 3-shard cluster topologies (internal/server/recovery_test.go and
-# internal/distnet/recovery_test.go).
-RECOVERY_FAILED=()
-for seed in 1 2 3; do
-    echo "-- recovery chaos.seed=$seed --"
-    if ! go test -race -run 'TestWALRecovery|TestWALClusterParentCrashRecovery' \
-            ./internal/server ./internal/distnet -chaos.seed="$seed"; then
-        RECOVERY_FAILED+=("$seed")
-    fi
-done
-if ((${#RECOVERY_FAILED[@]})); then
-    echo "ci.sh: WAL recovery matrix failed for seed(s): ${RECOVERY_FAILED[*]}."
-    echo "ci.sh: the log lives in internal/wal, the server wiring (log-before-ack," \
-         "seal barrier, replay-before-accept) in internal/server/wal.go; replay one" \
-         "seed with: go test -race -run TestWALRecovery ./internal/server -chaos.seed=<seed>"
+if ((${#SEEDED_FAILED[@]})); then
+    echo "ci.sh: seeded suites failed for seed(s): ${SEEDED_FAILED[*]}; the failing"
+    echo "ci.sh: test names its leg. Where each leg's code lives: faults in" \
+         "internal/failpoint and internal/faultnet; the ring and migration in" \
+         "internal/cluster; the relay flush and stream-carrying relay in" \
+         "internal/server/relay.go; batched, sharded and QueryExpr routing in" \
+         "internal/client; the expression evaluator in internal/server/expr.go;" \
+         "the log in internal/wal and its server wiring (log-before-ack, seal" \
+         "barrier, replay-before-accept) in internal/server/wal.go."
+    echo "ci.sh: replay one seed with:" \
+         "go test -race -run '<test>' <pkg> -chaos.seed=<seed>"
     exit 1
 fi
 

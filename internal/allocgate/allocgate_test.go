@@ -160,7 +160,7 @@ func TestHotPathAllocSummaries(t *testing.T) {
 				if err != nil {
 					t.Fatalf("envelope: %v", err)
 				}
-				srv := server.New(server.Config{Workers: 1})
+				srv := server.New(server.Config{})
 				if err := srv.Absorb(env); err != nil { // warm: create the group
 					t.Fatalf("warm absorb: %v", err)
 				}

@@ -104,11 +104,11 @@ func collectGuards(pass *analysis.Pass, structName string, st *ast.StructType,
 		}
 	}
 	for _, f := range st.Fields.List {
-		names := parseGuardList(f)
+		names := ParseGuardList(f)
 		if names == nil {
 			continue
 		}
-		if len(f.Names) != 1 || !isMutex(pass.TypesInfo.Defs[f.Names[0]]) {
+		if len(f.Names) != 1 || !IsMutex(pass.TypesInfo.Defs[f.Names[0]]) {
 			pass.Reportf(f.Pos(), "guards: annotation must sit on a single sync.Mutex/sync.RWMutex field")
 			continue
 		}
@@ -125,9 +125,12 @@ func collectGuards(pass *analysis.Pass, structName string, st *ast.StructType,
 	}
 }
 
-// parseGuardList extracts the field names from a `// guards: a, b`
-// comment attached to field f (doc or trailing), or nil.
-func parseGuardList(f *ast.Field) []string {
+// ParseGuardList extracts the field names from a `// guards: a, b`
+// comment attached to field f (doc or trailing). It returns nil when f
+// carries no guards: comment, and an empty non-nil slice for a bare
+// `// guards:`, which marks a mutex that guards no sibling field (a
+// barrier such as the WAL seal) but is still tracked by lockorder.
+func ParseGuardList(f *ast.Field) []string {
 	var names []string
 	for _, cg := range []*ast.CommentGroup{f.Doc, f.Comment} {
 		if cg == nil {
@@ -139,6 +142,9 @@ func parseGuardList(f *ast.Field) []string {
 			if !ok {
 				continue
 			}
+			if names == nil {
+				names = []string{}
+			}
 			for _, n := range strings.Split(rest, ",") {
 				if n = strings.TrimSpace(n); n != "" {
 					names = append(names, n)
@@ -149,9 +155,9 @@ func parseGuardList(f *ast.Field) []string {
 	return names
 }
 
-// isMutex reports whether obj is a field of type sync.Mutex or
+// IsMutex reports whether obj is a field of type sync.Mutex or
 // sync.RWMutex.
-func isMutex(obj types.Object) bool {
+func IsMutex(obj types.Object) bool {
 	if obj == nil {
 		return false
 	}
@@ -168,7 +174,7 @@ func isMutex(obj types.Object) bool {
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl,
 	guarded map[*types.Var]guardInfo, mutexes map[*types.Var]string) {
 
-	heldAll, heldNames := parseLockedAnnotation(fd)
+	heldAll, heldNames := ParseLockedAnnotation(fd)
 
 	// Which mutexes does the body visibly lock?
 	locked := map[string]bool{} // "struct.mutex"
@@ -226,10 +232,10 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl,
 	})
 }
 
-// parseLockedAnnotation reads a `// locked:` doc-comment line: a bare
+// ParseLockedAnnotation reads a `// locked:` doc-comment line: a bare
 // annotation means callers hold every relevant mutex; otherwise the
 // comma-separated mutex field names are held.
-func parseLockedAnnotation(fd *ast.FuncDecl) (all bool, names map[string]bool) {
+func ParseLockedAnnotation(fd *ast.FuncDecl) (all bool, names map[string]bool) {
 	names = map[string]bool{}
 	if fd.Doc == nil {
 		return false, names

@@ -71,6 +71,13 @@ type NotMutex struct {
 	x int
 }
 
+// BareNotMutex puts a bare annotation (a mutex guarding no sibling
+// field, which lockorder still tracks) on a non-mutex field.
+type BareNotMutex struct {
+	// guards:
+	barrier int // want "must sit on a single sync.Mutex/sync.RWMutex field"
+}
+
 // RW shows RWMutex and RLock are understood.
 type RW struct {
 	mu sync.RWMutex // guards: data

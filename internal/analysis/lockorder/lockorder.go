@@ -53,6 +53,7 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/lockcheck"
 )
 
 // LockSummary is the object fact exported for a package-level function
@@ -241,11 +242,11 @@ func (st *state) collectMutexes() {
 				return true
 			}
 			for _, f := range stt.Fields.List {
-				if !hasGuardsComment(f) || len(f.Names) != 1 {
+				if lockcheck.ParseGuardList(f) == nil || len(f.Names) != 1 {
 					continue
 				}
 				v, ok := st.pass.TypesInfo.Defs[f.Names[0]].(*types.Var)
-				if !ok || !isMutexType(v.Type()) {
+				if !ok || !lockcheck.IsMutex(v) {
 					continue
 				}
 				id := pkgPath + "." + ts.Name.Name + "." + v.Name()
@@ -258,34 +259,6 @@ func (st *state) collectMutexes() {
 		})
 	}
 	sort.Strings(st.names)
-}
-
-// hasGuardsComment reports whether field f carries a guards: comment
-// (doc or trailing), lockcheck's grammar.
-func hasGuardsComment(f *ast.Field) bool {
-	for _, cg := range []*ast.CommentGroup{f.Doc, f.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if strings.HasPrefix(text, "guards:") {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// isMutexType reports whether t is sync.Mutex or sync.RWMutex.
-func isMutexType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	o := named.Obj()
-	return o.Pkg() != nil && o.Pkg().Path() == "sync" &&
-		(o.Name() == "Mutex" || o.Name() == "RWMutex")
 }
 
 // mutexOf resolves a Lock/Unlock receiver expression to an annotated
@@ -301,7 +274,7 @@ func (st *state) mutexOf(x ast.Expr) (string, bool) {
 		return "", false
 	}
 	v, ok := s.Obj().(*types.Var)
-	if !ok || !v.IsField() || !isMutexType(v.Type()) {
+	if !ok || !v.IsField() || !lockcheck.IsMutex(v) {
 		return "", false
 	}
 	if id, ok := st.annotated[v]; ok {
@@ -345,7 +318,7 @@ func (st *state) mutexOf(x ast.Expr) (string, bool) {
 // annotation: the named (or, bare, all) annotated mutexes of the
 // receiver's struct are held by contract when the function runs.
 func (st *state) seedHeld(fd *ast.FuncDecl) []heldLock {
-	all, names := parseLockedAnnotation(fd)
+	all, names := lockcheck.ParseLockedAnnotation(fd)
 	if !all && len(names) == 0 {
 		return nil
 	}
@@ -360,37 +333,6 @@ func (st *state) seedHeld(fd *ast.FuncDecl) []heldLock {
 		}
 	}
 	return held
-}
-
-// parseLockedAnnotation reads lockcheck's `// locked:` doc-comment
-// grammar: bare means every mutex, otherwise comma-separated names
-// (with an optional trailing free-text reason per name).
-func parseLockedAnnotation(fd *ast.FuncDecl) (all bool, names map[string]bool) {
-	names = map[string]bool{}
-	if fd.Doc == nil {
-		return false, names
-	}
-	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		rest, ok := strings.CutPrefix(text, "locked:")
-		if !ok {
-			continue
-		}
-		rest = strings.TrimSpace(rest)
-		if rest == "" {
-			return true, names
-		}
-		for _, n := range strings.Split(rest, ",") {
-			n = strings.TrimSpace(n)
-			if i := strings.IndexAny(n, " \t"); i >= 0 {
-				n = n[:i]
-			}
-			if n != "" {
-				names[n] = true
-			}
-		}
-	}
-	return false, names
 }
 
 func receiverTypeName(fd *ast.FuncDecl) string {

@@ -40,6 +40,19 @@ func (b *Box) RecvLocked() {
 	b.mu.Unlock()
 }
 
+// Barrier's mutex guards no sibling field; a bare guards: comment
+// still makes lockorder track it.
+type Barrier struct {
+	seal sync.RWMutex // guards:
+}
+
+// SleepSealed sleeps with the barrier held for read.
+func (b *Barrier) SleepSealed() {
+	b.seal.RLock()
+	defer b.seal.RUnlock()
+	time.Sleep(time.Millisecond) // want "may block indefinitely"
+}
+
 // PollLocked is fine: a select with a default case never blocks.
 func (b *Box) PollLocked() {
 	b.mu.Lock()

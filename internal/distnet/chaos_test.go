@@ -35,13 +35,13 @@ func chaosOpts(seed uint64, proxy **faultnet.Proxy) Options {
 		Attempts:    25,
 		BackoffBase: time.Millisecond,
 		IOTimeout:   250 * time.Millisecond,
-		Intercept: func(serverAddr string) (string, error) {
+		Intercept: func(serverAddr string) (string, func(), error) {
 			p, err := faultnet.New(serverAddr, faultnet.Seeded(seed))
 			if err != nil {
-				return "", err
+				return "", nil, err
 			}
 			*proxy = p
-			return p.Addr(), nil
+			return p.Addr(), func() { p.Close() }, nil
 		},
 	}
 }

@@ -47,8 +47,11 @@ type Options struct {
 	// Intercept, when set, rewrites the address every client dials: it
 	// receives the coordinator's real listen address and returns the
 	// address to use instead. The chaos suite uses it to route all
-	// site and query traffic through a faultnet proxy.
-	Intercept func(serverAddr string) (dialAddr string, err error)
+	// site and query traffic through a faultnet proxy. The returned
+	// stop, when non-nil, runs after the last query and before the
+	// coordinator shuts down, so the proxy finishes whatever it still
+	// delivers (a replayed duplicate) against a live coordinator.
+	Intercept func(serverAddr string) (dialAddr string, stop func(), err error)
 }
 
 // Run executes the protocol over loopback TCP: it starts a
@@ -86,8 +89,12 @@ func RunOptions(p distsim.Protocol, sources []stream.Source, concurrent bool, op
 	}()
 	addr := ln.Addr().String()
 	if opts.Intercept != nil {
-		if addr, err = opts.Intercept(addr); err != nil {
+		var stop func()
+		if addr, stop, err = opts.Intercept(addr); err != nil {
 			return nil, fmt.Errorf("distnet: intercept: %w", err)
+		}
+		if stop != nil {
+			defer stop()
 		}
 	}
 

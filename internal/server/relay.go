@@ -57,11 +57,11 @@ type relayState struct {
 	flushNow chan struct{}
 	wg       sync.WaitGroup
 
-	mu sync.Mutex // guards: flushing
-	// flushing serializes flush rounds: the timer, threshold triggers,
-	// and the drain flush must not interleave snapshots of the same
-	// group.
-	flushing bool
+	// round is a one-slot semaphore that serializes flush rounds: the
+	// timer, threshold triggers, explicit calls, and the drain flush
+	// must not interleave snapshots of the same group. A round holds
+	// the slot across its upstream push, so no mutex is held there.
+	round chan struct{}
 
 	flushes     atomic.Int64
 	groupsSent  atomic.Int64
@@ -88,6 +88,7 @@ func newRelayState(cfg RelayConfig) *relayState {
 			JitterSeed:  cfg.JitterSeed,
 		}),
 		flushNow: make(chan struct{}, 1),
+		round:    make(chan struct{}, 1),
 	}
 }
 
@@ -122,30 +123,30 @@ func (g *group) relayDirty(r *relayState) bool {
 
 // FlushRelay pushes every dirty group's envelope upstream over one
 // batched connection and returns how many groups were durably acked.
-// It is what the relay timer runs each tick, what Shutdown runs as
-// the drain flush, and what tests call to make relay timing
-// deterministic. Rounds are serialized; a round that finds one in
-// progress returns immediately (the running round will deliver the
-// dirt it snapshotted, and the next tick catches the rest).
+// It is what the relay timer runs each tick and what tests call to
+// make relay timing deterministic. Rounds are serialized; a round that
+// finds one in progress returns immediately (the running round will
+// deliver the dirt it snapshotted, and the next tick catches the
+// rest). Only Shutdown's drain flush waits for a running round
+// instead, because no tick follows it (see drainRelay).
 func (s *Server) FlushRelay() (groups int, err error) {
 	r := s.relay
 	if r == nil {
 		return 0, fmt.Errorf("server: not a relay (no RelayConfig)")
 	}
-	r.mu.Lock()
-	if r.flushing {
-		r.mu.Unlock()
+	select {
+	case r.round <- struct{}{}:
+	default:
 		r.flushSkips.Add(1)
 		return 0, nil
 	}
-	r.flushing = true
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		r.flushing = false
-		r.mu.Unlock()
-	}()
+	defer func() { <-r.round }()
+	return s.flushRound()
+}
 
+// flushRound is one flush round; the caller holds the round slot.
+func (s *Server) flushRound() (groups int, err error) {
+	r := s.relay
 	if ferr := failpoint.Inject(failpoint.ServerRelayFlush); ferr != nil {
 		// Chaos hook: the whole cycle fails before any snapshot — every
 		// group stays dirty and the next cycle retries.
@@ -228,12 +229,16 @@ func (s *Server) FlushRelay() (groups int, err error) {
 
 // drainRelay is Shutdown's final flush: whatever is dirty when the
 // last connection drains is pushed upstream before the daemon exits,
-// so a cleanly-stopped shard leaves nothing behind. Its counters are
+// so a cleanly-stopped shard leaves nothing behind. A round already
+// running may have listed the groups before the last absorbs, so the
+// drain waits for it to finish and then runs its own. Its counters are
 // surfaced separately in /statsz so operators can tell a drain flush
 // happened.
 func (s *Server) drainRelay() {
 	s.relay.drainFlush.Store(true)
-	n, err := s.FlushRelay()
+	s.relay.round <- struct{}{}
+	n, err := s.flushRound()
+	<-s.relay.round
 	s.relay.drainGroups.Store(int64(n))
 	if err != nil {
 		s.logf("unionstreamd: relay drain flush: %v", err)

@@ -2,7 +2,7 @@ package server_test
 
 // Regression suite for the relay tier's worst interleaving: flush
 // rounds (timer-driven and explicit) racing Shutdown's drain. The
-// flushing flag in relayState serializes rounds, Shutdown must never
+// round slot in relayState serializes rounds, Shutdown must never
 // hold a lock across the upstream push, and the drain flush must
 // still deliver every dirty group — so the whole dance has to finish
 // without deadlock and leave the parent bit-identical to a
@@ -25,7 +25,7 @@ import (
 // a FlushRelay hammer against a child whose flush timer actually
 // fires, then shuts the child down while the ServerDrain failpoint
 // injects one more flush in the middle of the drain — the exact
-// "flush fires mid-drain" schedule the flushing flag exists for.
+// "flush fires mid-drain" schedule the round slot exists for.
 func TestRelayFlushRacesShutdownDrain(t *testing.T) {
 	envs := relayEnvelopes(t, 24)
 	parent, child, childAddr := relayPair(t, server.RelayConfig{
@@ -108,5 +108,69 @@ func TestRelayFlushRacesShutdownDrain(t *testing.T) {
 		if p.Digest != c.Digest || !bytes.Equal(p.Envelope, c.Envelope) {
 			t.Fatalf("group %016x diverged between relayed parent and direct control", p.Digest)
 		}
+	}
+}
+
+// TestRelayDrainWaitsForRunningRound: a flush round that listed the
+// groups before a second group arrived is still pushing when Shutdown
+// drains. The drain flush must wait for that round and then run its
+// own; if it skips instead, the second group never leaves the shard.
+func TestRelayDrainWaitsForRunningRound(t *testing.T) {
+	t.Cleanup(failpoint.Reset)
+	parent, child, childAddr := relayPair(t, server.RelayConfig{})
+	envs := relayEnvelopes(t, 2)
+	pushAll(t, childAddr, envs[:1])
+
+	// Hold the first round inside its first group push.
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var held atomic.Bool
+	failpoint.Enable(failpoint.ServerRelayPush, func() error {
+		if held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+		return nil
+	})
+	roundDone := make(chan struct{})
+	go func() {
+		defer close(roundDone)
+		if n, err := child.FlushRelay(); err != nil || n != 1 {
+			t.Errorf("held FlushRelay = %d, %v; want 1, nil", n, err)
+		}
+	}()
+	<-entered
+	pushAll(t, childAddr, envs[1:])
+
+	shutdownDone := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shutdownDone <- child.Shutdown(ctx)
+	}()
+	// A drain that skips the held round returns at once; one that
+	// waits cannot return before the release. The grace only gives a
+	// skipping drain the time to show itself.
+	var shutdownErr error
+	returned := false
+	select {
+	case shutdownErr = <-shutdownDone:
+		returned = true
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+	<-roundDone
+	if !returned {
+		shutdownErr = <-shutdownDone
+	}
+	if shutdownErr != nil {
+		t.Fatalf("shutdown: %v", shutdownErr)
+	}
+
+	if got := parent.Stats().SketchesAbsorbed; got != int64(len(envs)) {
+		t.Fatalf("parent absorbed %d groups, want %d: the drain flush left a group behind", got, len(envs))
+	}
+	if rs := child.Stats().Relay; !rs.DrainFlushed || rs.DrainGroups != 1 {
+		t.Fatalf("relay stats after drain = %+v, want a drain flush of the 1 group the held round missed", rs)
 	}
 }

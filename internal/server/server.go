@@ -16,19 +16,23 @@
 //
 // # Concurrency model
 //
-// Each accepted connection gets a reader goroutine. Absorb work
-// (decode + merge) flows through a bounded worker pool so a burst of
-// sites cannot stampede the merge path; each merge group is guarded by
-// its own mutex. Because coordinated sketches merge commutatively and
-// associatively, the group state after N concurrent absorbs is
-// bit-identical to absorbing the same messages serially in any order —
-// the server tests assert this byte-for-byte under the race detector.
+// Each accepted connection gets a reader goroutine, which absorbs its
+// own pushes (decode + merge) and writes each ack before it reads the
+// next frame, so acks stay in per-connection order. A counting
+// semaphore sized to GOMAXPROCS bounds the absorbs running at once so
+// a burst of sites cannot stampede the merge path; each merge group is
+// guarded by its own mutex. Because coordinated sketches merge
+// commutatively and associatively, the group state after N concurrent
+// absorbs is bit-identical to absorbing the same messages serially in
+// any order — the server tests assert this byte-for-byte under the
+// race detector.
 //
 // # Shutdown
 //
 // Shutdown stops the accept loop, wakes blocked readers, lets every
-// in-flight message finish absorbing (and its ack get written), then
-// retires the worker pool. cmd/unionstreamd wires this to SIGTERM.
+// in-flight message finish absorbing (and its ack get written), and
+// refuses pushes still waiting for an absorb slot with a transient
+// AckError. cmd/unionstreamd wires this to SIGTERM.
 package server
 
 import (
@@ -56,8 +60,6 @@ type Config struct {
 	// Addr is the TCP listen address for ListenAndServe (e.g.
 	// ":7600"). Ignored by Serve, which takes a listener.
 	Addr string
-	// Workers bounds the absorb pool; <= 0 selects GOMAXPROCS.
-	Workers int
 	// MaxPayload bounds accepted frame payloads in bytes; 0 selects
 	// wire.DefaultMaxPayload.
 	MaxPayload uint32
@@ -141,28 +143,19 @@ type group struct {
 	relayPushes  int64
 }
 
-// absorbJob is one queued push. The reader goroutine that enqueued it
-// blocks on done, then writes the ack on its own connection — so acks
-// stay ordered per connection while absorbs from different sites run
-// in parallel up to the pool bound.
-type absorbJob struct {
-	stream  string
-	payload []byte
-	ack     wire.Ack
-	done    chan struct{}
-}
-
 // Server is the coordinator daemon. Create with New, start with
 // ListenAndServe or Serve, stop with Shutdown.
 type Server struct {
-	cfg   Config
-	jobs  chan *absorbJob
-	quit  chan struct{}
-	relay *relayState // nil unless cfg.Relay is set
-	wal   *walState   // nil unless cfg.WAL is set
+	cfg  Config
+	quit chan struct{}
+	// absorbSlots is a counting semaphore: a connection reader holds
+	// one slot while it absorbs a push, so at most GOMAXPROCS absorbs
+	// run at once however many sites are connected.
+	absorbSlots chan struct{}
+	relay       *relayState // nil unless cfg.Relay is set
+	wal         *walState   // nil unless cfg.WAL is set
 
-	workerWG sync.WaitGroup
-	connWG   sync.WaitGroup
+	connWG sync.WaitGroup
 
 	mu       sync.Mutex // guards: groups, ln, conns, started, shutdown
 	groups   map[groupKey]*group
@@ -176,18 +169,15 @@ type Server struct {
 
 // New returns an unstarted server.
 func New(cfg Config) *Server {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	if cfg.MaxPayload == 0 {
 		cfg.MaxPayload = wire.DefaultMaxPayload
 	}
 	s := &Server{
-		cfg:    cfg,
-		jobs:   make(chan *absorbJob),
-		quit:   make(chan struct{}),
-		groups: make(map[groupKey]*group),
-		conns:  make(map[net.Conn]struct{}),
+		cfg:         cfg,
+		quit:        make(chan struct{}),
+		absorbSlots: make(chan struct{}, runtime.GOMAXPROCS(0)),
+		groups:      make(map[groupKey]*group),
+		conns:       make(map[net.Conn]struct{}),
 	}
 	if cfg.Relay != nil {
 		s.relay = newRelayState(*cfg.Relay)
@@ -238,10 +228,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.ln = ln
 	s.mu.Unlock()
 
-	s.workerWG.Add(s.cfg.Workers)
-	for i := 0; i < s.cfg.Workers; i++ {
-		go s.worker()
-	}
 	if s.relay != nil {
 		s.relay.wg.Add(1)
 		go s.relayLoop()
@@ -254,8 +240,8 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.logf("unionstreamd: logging accepted envelopes to %s (fsync %s)",
 			s.wal.cfg.Dir, s.wal.cfg.Sync)
 	}
-	s.logf("unionstreamd: serving on %s (%d absorb workers, %d byte frame limit)",
-		ln.Addr(), s.cfg.Workers, s.cfg.MaxPayload)
+	s.logf("unionstreamd: serving on %s (%d concurrent absorbs, %d byte frame limit)",
+		ln.Addr(), cap(s.absorbSlots), s.cfg.MaxPayload)
 
 	for {
 		conn, err := ln.Accept()
@@ -301,8 +287,11 @@ func (s *Server) Addr() net.Addr {
 }
 
 // Shutdown drains the server: it stops accepting, wakes connection
-// readers, waits (bounded by ctx) for every in-flight message to be
-// absorbed and acked, then stops the worker pool. It is idempotent.
+// readers, and waits (bounded by ctx) for every in-flight message to
+// be absorbed and acked; a push still waiting for an absorb slot is
+// refused with a transient AckError. A relay then runs its drain
+// flush and a durable coordinator its final snapshot. It is
+// idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.shutdown {
@@ -355,10 +344,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			s.drainRelay()
 		}
 	}
-	if started {
-		close(s.jobs)
-		s.workerWG.Wait()
-	}
 	if w := s.wal; w != nil && w.recovered.Load() {
 		// With every absorb drained and acked, one final snapshot
 		// captures the groups and prunes the log, so the next boot
@@ -371,14 +356,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.logf("unionstreamd: shutdown complete (%d sketches absorbed)", s.stats.absorbed.Load())
 	return err
-}
-
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	for job := range s.jobs {
-		job.ack = s.absorbSketch(job.stream, job.payload)
-		close(job.done)
-	}
 }
 
 func (s *Server) handleConn(conn net.Conn) {
@@ -437,18 +414,18 @@ func (s *Server) handleConn(conn net.Conn) {
 					continue
 				}
 			}
-			job := &absorbJob{stream: stream, payload: envelope, done: make(chan struct{})}
 			select {
-			case s.jobs <- job:
-				<-job.done
+			case s.absorbSlots <- struct{}{}:
 			case <-s.quit:
 				s.writeAck(conn, wire.Ack{Code: wire.AckError, Detail: "server shutting down"})
 				return
 			}
-			if job.ack.Code != wire.AckOK {
+			ack := s.absorbSketch(stream, envelope)
+			<-s.absorbSlots
+			if ack.Code != wire.AckOK {
 				s.stats.rejected.Add(1)
 			}
-			if !s.writeAck(conn, job.ack) {
+			if !s.writeAck(conn, ack) {
 				return
 			}
 		case wire.MsgQuery:

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/distsim"
+	"repro/internal/failpoint"
 	"repro/internal/hashing"
 	"repro/internal/server"
 	"repro/internal/sketch"
@@ -187,7 +189,7 @@ func TestConcurrentAbsorbBitIdentical(t *testing.T) {
 
 	rng := hashing.NewXoshiro256(11)
 	for trial := 0; trial < 3; trial++ {
-		srv := server.New(server.Config{Workers: 4})
+		srv := server.New(server.Config{})
 		addr := startServer(t, srv)
 		order := make([]int, len(msgs))
 		for i := range order {
@@ -487,6 +489,101 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
+// TestAbsorbBoundAndShutdownRefusal pins the absorb bound and the
+// shutdown refusal. With GOMAXPROCS absorbs held inside the absorb
+// failpoint, two more pushes wait for a slot and never enter it.
+// Shutdown refuses the waiting pushes with a transient AckError, and
+// the held ones still finish, ack AckOK, and count as absorbed.
+func TestAbsorbBoundAndShutdownRefusal(t *testing.T) {
+	t.Cleanup(failpoint.Reset)
+	bound := runtime.GOMAXPROCS(0)
+	const waiting = 2
+	srv := server.New(server.Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+
+	// The hook never returns before release, so every absorb it lets
+	// in is running at once; one entry beyond the bound fails the test.
+	entered := make(chan struct{}, bound+waiting)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(releaseAll)
+	failpoint.Enable(failpoint.ServerAbsorb, func() error {
+		entered <- struct{}{}
+		<-release
+		return nil
+	})
+
+	type reply struct {
+		ack wire.Ack
+		err error
+	}
+	replies := make(chan reply, bound+waiting)
+	for _, env := range relayEnvelopes(t, bound+waiting) {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := wire.WriteFrame(conn, wire.MsgPush, env); err != nil {
+			t.Fatal(err)
+		}
+		go func(conn net.Conn) {
+			typ, payload, err := wire.ReadFrame(conn, wire.DefaultMaxPayload)
+			if err != nil || typ != wire.MsgAck {
+				replies <- reply{err: errors.Join(err, errors.New("reply is not an ack"))}
+				return
+			}
+			a, err := wire.DecodeAck(payload)
+			replies <- reply{ack: a, err: err}
+		}(conn)
+	}
+	for i := 0; i < bound; i++ {
+		<-entered
+	}
+	// A reader counts its frame before it asks for an absorb slot.
+	waitFor(t, 5*time.Second, func() bool {
+		return srv.Stats().FramesRead == int64(bound+waiting)
+	}, "every push frame to be read")
+
+	shutdownDone := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shutdownDone <- srv.Shutdown(ctx)
+	}()
+	for i := 0; i < waiting; i++ {
+		select {
+		case r := <-replies:
+			if r.err != nil || r.ack.Code != wire.AckError || r.ack.Detail != "server shutting down" {
+				t.Fatalf("waiting push got %+v, %v; want AckError \"server shutting down\"", r.ack, r.err)
+			}
+		case <-entered:
+			t.Fatalf("more than %d absorbs ran at once", bound)
+		}
+	}
+	releaseAll()
+	for i := 0; i < bound; i++ {
+		if r := <-replies; r.err != nil || r.ack.Code != wire.AckOK {
+			t.Fatalf("held push got %+v, %v; want AckOK", r.ack, r.err)
+		}
+	}
+	if err := <-shutdownDone; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("serve returned: %v", err)
+	}
+	if got := srv.Stats().SketchesAbsorbed; got != int64(bound) {
+		t.Fatalf("absorbed %d, want the %d held pushes", got, bound)
+	}
+}
+
 func TestStatszHTTP(t *testing.T) {
 	srv := server.New(server.Config{})
 	addr := startServer(t, srv)
@@ -567,7 +664,7 @@ func TestConcurrentAbsorbAllKinds(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			srv := server.New(server.Config{Workers: 4})
+			srv := server.New(server.Config{})
 			addr := startServer(t, srv)
 			var wg sync.WaitGroup
 			for _, msg := range msgs {

@@ -63,7 +63,7 @@ type walState struct {
 
 	mu sync.Mutex // guards: snapshotting
 	// snapshotting serializes snapshot rounds, like the relay's
-	// flushing flag: the timer, explicit SnapshotWAL calls, and the
+	// round slot: the timer, explicit SnapshotWAL calls, and the
 	// shutdown snapshot must not interleave.
 	snapshotting bool
 
@@ -254,15 +254,10 @@ func (s *Server) Abort() {
 	for c := range s.conns {
 		c.Close()
 	}
-	started := s.started
 	s.mu.Unlock()
 	s.connWG.Wait()
 	if s.relay != nil {
 		s.relay.wg.Wait()
-	}
-	if started {
-		close(s.jobs)
-		s.workerWG.Wait()
 	}
 	if w := s.wal; w != nil && w.recovered.Load() {
 		// Release the directory so the rebooted server can reopen it;
