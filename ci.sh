@@ -52,9 +52,10 @@ if ! go vet -vettool="$UNIONLINT" ./... 2>"$UNIONLINT_OUT"; then
     echo "ci.sh: fact-driven analyzers: kindcheck (registry tags/sentinels)," \
          "ackcontract (// ackclass: transient/permanent), mergepure" \
          "(// mergepure:seam for reviewed nondeterminism), failpointcheck" \
-         "(declared failpoint sites), lockorder (deadlock/ordering/" \
-         "blocking-while-locked over // guards: mutexes; reviewed waits" \
-         "take // lockorder:allow <reason>), allocflow (// hotpath: roots" \
+         "(declared failpoint sites), lockorder (guarded-field access," \
+         "deadlock/ordering/blocking-while-locked over // guards: mutexes;" \
+         "reviewed waits take // unionlint:allow lockorder <reason>)," \
+         "allocflow (// hotpath: roots" \
          "budgeted against lint/allocflow.baseline; license steady-state" \
          "growth with // allocflow:amortized <reason>, prune error paths" \
          "with // allocflow:cold <reason>); see README 'Static analysis'."
@@ -172,6 +173,9 @@ fi
 # BENCH_expr.json snapshots the set-expression evaluator (AnswerExpr
 # ns/query per expression shape):
 #   go run ./cmd/gtbench -bench-expr BENCH_expr.json
+# BENCH_relay.json snapshots the relay tier (a FlushRelay round over
+# loopback TCP, and client.PushBatch):
+#   go run ./cmd/gtbench -bench-relay BENCH_relay.json
 
 echo "== fuzz smoke: FuzzWireDecode (10s) =="
 # A short bounded run of the wire-format fuzzer: enough to catch a

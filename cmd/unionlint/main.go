@@ -1,6 +1,6 @@
-// Command unionlint is the repository's static-analysis suite: ten
+// Command unionlint is the repository's static-analysis suite: nine
 // analyzers encoding the invariants the coordinated-sampling scheme
-// depends on (seedcheck, lockcheck, lockorder, floatcmp, errcontract,
+// depends on (seedcheck, lockorder, floatcmp, errcontract,
 // allocflow, kindcheck, mergepure, ackcontract, failpointcheck —
 // see `unionlint -help` or README "Static analysis").
 //
@@ -60,9 +60,6 @@ func run(argv []string) int {
 	jsonOut := fs.Bool("json", false, "print findings as JSON Lines (one diagnostic per line) instead of the grouped summary")
 	summarize := fs.Bool("summarize", false, "read vet-mode diagnostics from stdin and print a per-analyzer summary")
 	update := fs.Bool("allocflow.update", false, "regenerate lint/allocflow.baseline from the current tree (alias for -allocflow.write=1)")
-	// hotpathalloc was superseded by allocflow (PR 10); keep its update
-	// flag as a signpost instead of a silent unknown-flag error.
-	retired := fs.Bool("hotpathalloc.update", false, "retired: hotpathalloc was superseded by allocflow; use -allocflow.update")
 	verbose := fs.Bool("v", false, "also list analyzers that found nothing")
 	var flagVals []*string
 	var flagRefs []*analysis.Flag
@@ -107,10 +104,6 @@ func run(argv []string) int {
 	patterns := rest
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	if *retired {
-		fmt.Fprintf(os.Stderr, "%s: -hotpathalloc.update is retired: the intra-function scan was superseded by the interprocedural allocflow analyzer; run -allocflow.update to regenerate lint/allocflow.baseline\n", progname)
-		return 2
 	}
 	if *update {
 		// -allocflow.update is the documented way to regenerate the

@@ -19,7 +19,7 @@
 // on the offending line, or on the line directly above it, suppresses
 // diagnostics from the named analyzers. Reasons are free text and
 // strongly encouraged — the annotation is a reviewed exception, not an
-// off switch.
+// off switch. lockorder makes the reason mandatory for its own name.
 package analysis
 
 import (
@@ -170,7 +170,7 @@ func (p *Pass) Allowed(pos token.Pos) bool {
 		for _, f := range p.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					names, ok := parseAllow(c.Text)
+					names, _, ok := ParseAllow(c.Text)
 					if !ok {
 						continue
 					}
@@ -191,25 +191,26 @@ func (p *Pass) Allowed(pos token.Pos) bool {
 		p.allow[allowKey{pp.Filename, pp.Line, "all"}]
 }
 
-// parseAllow extracts the analyzer names from one comment's text if it
-// is an unionlint:allow annotation.
-func parseAllow(text string) ([]string, bool) {
+// ParseAllow reports whether one comment's text is an
+// unionlint:allow annotation, returning the analyzer names it lists
+// and its free-text reason ("" when the annotation gives none).
+func ParseAllow(text string) (names []string, reason string, ok bool) {
 	text = strings.TrimSpace(strings.TrimPrefix(strings.TrimPrefix(text, "//"), "/*"))
+	text = strings.TrimSpace(strings.TrimSuffix(text, "*/"))
 	if !strings.HasPrefix(text, allowPrefix) {
-		return nil, false
+		return nil, "", false
 	}
 	rest := strings.TrimSpace(text[len(allowPrefix):])
 	// Names are the first whitespace-delimited field; anything after
 	// is a free-text reason.
 	field := rest
 	if i := strings.IndexAny(rest, " \t"); i >= 0 {
-		field = rest[:i]
+		field, reason = rest[:i], strings.TrimSpace(rest[i:])
 	}
-	var names []string
 	for _, n := range strings.Split(field, ",") {
 		if n = strings.TrimSpace(n); n != "" {
 			names = append(names, n)
 		}
 	}
-	return names, len(names) > 0
+	return names, reason, len(names) > 0
 }

@@ -1,8 +1,32 @@
-// Package lockorder is the whole-module deadlock analyzer: it tracks
-// which `// guards:`-annotated mutexes (lockcheck's grammar) each
-// function may acquire, propagates those summaries across package
-// boundaries as object facts, and reports the three ways the
-// concurrent tier can wedge:
+// Package lockorder is the lock analyzer. It enforces documented mutex
+// protection and whole-module deadlock freedom over one grammar:
+//
+//	mu sync.Mutex // guards: groups, ln, conns
+//
+// on a sync.Mutex/sync.RWMutex field declares which sibling fields it
+// protects (names must be fields of the same struct — a rename that
+// orphans the list is itself a diagnostic; a bare `// guards:` marks a
+// mutex that guards no field but is still tracked), and a
+//
+//	// locked: mu
+//
+// doc-comment line declares that a function's callers hold the named
+// mutex(es) (a bare `// locked:` covers all of them).
+//
+// The concurrent coordinator (internal/server) is only bit-identical
+// to serial merging because every access to a merge group's state
+// happens under its group mutex, so the first check is guarded-field
+// access: a function declaration that touches a guarded field must
+// lock (or RLock) that mutex somewhere in its body — nested inline,
+// deferred and `go` literals included — or carry a `// locked:` line
+// naming it. The rule is lexical and per declaration, not an alias or
+// path analysis: locking any instance's mutex satisfies accesses
+// through any value of that struct type.
+//
+// The same walk tracks which annotated mutexes each function may
+// acquire, propagates those summaries across package boundaries as
+// object facts, and reports the three ways the concurrent tier can
+// wedge:
 //
 //   - self-deadlock: acquiring a mutex the function (or a transitive
 //     callee) already holds — sync mutexes are not reentrant;
@@ -19,10 +43,10 @@
 //     deadlock risk is exactly this shape: a flush that pushes
 //     upstream TCP while holding a group lock stalls every absorb.
 //
-// The held-set tracking is lexical and per function declaration, like
-// lockcheck: a `x.Lock()` statement adds the mutex, `x.Unlock()`
-// removes it, `defer x.Unlock()` keeps it held to the end of the
-// body. A `// locked: mu` doc annotation seeds the held set from the
+// The held-set tracking is lexical and per function declaration: a
+// `x.Lock()` statement adds the mutex, `x.Unlock()` removes it,
+// `defer x.Unlock()` keeps it held to the end of the body. A
+// `// locked: mu` doc annotation seeds the held set from the
 // receiver's annotated mutexes. Function literals launched with `go`
 // are checked as separate goroutines (their acquisitions do not count
 // against the enclosing call path); deferred and inline literals are
@@ -35,13 +59,12 @@
 // annotated, so locking an exported foreign mutex resolves), and
 // LockGraph (package fact: the package's local ordering edges).
 //
-// A reviewed escape mirrors mergepure:seam:
+// A reviewed exception uses the suite's escape hatch,
 //
-//	// lockorder:allow <reason>
+//	// unionlint:allow lockorder <reason>
 //
-// on the offending line (or the line above) suppresses lockorder
-// diagnostics there; the reason is mandatory — a bare annotation is
-// itself reported.
+// on the offending line (or the line above); the reason is mandatory
+// — an annotation naming lockorder without one is itself reported.
 package lockorder
 
 import (
@@ -49,11 +72,12 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/lockcheck"
 )
 
 // LockSummary is the object fact exported for a package-level function
@@ -102,14 +126,11 @@ func (*LockGraph) AFact() {}
 // Analyzer is the lockorder analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc: "build whole-module lock acquisition summaries over `// guards:`-annotated mutexes; " +
-		"report self-deadlocks, cross-package ordering cycles, and blocking calls made while locked",
+	Doc: "accesses to `// guards:`-annotated fields must hold the declared mutex; whole-module lock " +
+		"summaries report self-deadlocks, cross-package ordering cycles, and blocking calls made while locked",
 	FactTypes: []analysis.Fact{(*LockSummary)(nil), (*GuardedMutexes)(nil), (*LockGraph)(nil)},
 	Run:       run,
 }
-
-// allowPrefix introduces the reviewed blocking-while-locked escape.
-const allowPrefix = "lockorder:allow"
 
 // A heldLock is one mutex in the lexical held set.
 type heldLock struct {
@@ -136,6 +157,17 @@ type structMutex struct {
 	field, id string
 }
 
+// A guard names the mutex protecting one guarded field.
+type guard struct {
+	structName, mutex, id string
+}
+
+// A fieldUse is one access to a guarded field.
+type fieldUse struct {
+	pos   token.Pos
+	field *types.Var
+}
+
 // funcRec accumulates one function's lock behavior.
 type funcRec struct {
 	name     string
@@ -152,11 +184,6 @@ type funcRec struct {
 	visited, solved bool
 }
 
-type allowKey struct {
-	file string
-	line int
-}
-
 // localEdge is one ordering edge observed in this package.
 type localEdge struct {
 	from, to string
@@ -168,29 +195,32 @@ type localEdge struct {
 type state struct {
 	pass      *analysis.Pass
 	annotated map[*types.Var]string      // local annotated mutex field → mutex ID
+	guarded   map[*types.Var]guard       // local guarded field → its mutex
 	byStruct  map[string][]structMutex   // local struct name → its annotated mutexes
 	names     []string                   // local "Struct.field" names (GuardedMutexes fact)
 	foreignMu map[string]map[string]bool // pkg path → annotated "Struct.field" set
 	recs      []*funcRec
 	byObj     map[types.Object]*funcRec
 	edges     map[[2]string]*localEdge // (from, to) → first site
-	allow     map[allowKey]bool
+	uses      []fieldUse               // the current declaration's guarded-field accesses
 }
 
 func run(pass *analysis.Pass) error {
 	st := &state{
 		pass:      pass,
 		annotated: map[*types.Var]string{},
+		guarded:   map[*types.Var]guard{},
 		byStruct:  map[string][]structMutex{},
 		foreignMu: map[string]map[string]bool{},
 		byObj:     map[types.Object]*funcRec{},
 		edges:     map[[2]string]*localEdge{},
 	}
-	st.buildAllow()
 	st.collectMutexes()
+	st.checkAllowReasons()
 
 	// Walk every non-test function declaration, tracking the lexical
-	// held set and collecting acquire/call/block events.
+	// held set and collecting acquire/call/block events and
+	// guarded-field accesses.
 	for _, file := range pass.Files {
 		if pass.IsTestFile(file.Pos()) {
 			continue
@@ -209,9 +239,13 @@ func run(pass *analysis.Pass) error {
 			if rec.obj != nil {
 				st.byObj[rec.obj] = rec
 			}
-			w := &walker{st: st, rec: rec, held: st.seedHeld(fd)}
+			all, names := parseLockedAnnotation(fd)
+			first := len(st.recs) // the walk appends the declaration's goroutine records
+			st.uses = st.uses[:0]
+			w := &walker{st: st, rec: rec, held: st.seedHeld(fd, all, names)}
 			w.scan(fd.Body)
 			st.recs = append(st.recs, rec)
+			st.checkGuarded(fd, st.recs[first:], all, names)
 		}
 	}
 
@@ -228,7 +262,8 @@ func run(pass *analysis.Pass) error {
 // --- annotation collection -------------------------------------------------
 
 // collectMutexes indexes the package's `// guards:`-annotated mutex
-// fields (lockcheck owns validating the annotations themselves).
+// fields and the fields they guard, reporting annotations that sit on
+// a non-mutex or list a field the struct does not have.
 func (st *state) collectMutexes() {
 	pkgPath := analysis.TrimPkgPath(st.pass.Pkg.Path())
 	for _, file := range st.pass.Files {
@@ -241,24 +276,120 @@ func (st *state) collectMutexes() {
 			if !ok {
 				return true
 			}
+			structName := ts.Name.Name
+			fieldByName := map[string]*types.Var{}
 			for _, f := range stt.Fields.List {
-				if lockcheck.ParseGuardList(f) == nil || len(f.Names) != 1 {
+				for _, name := range f.Names {
+					if v, ok := st.pass.TypesInfo.Defs[name].(*types.Var); ok {
+						fieldByName[name.Name] = v
+					}
+				}
+			}
+			for _, f := range stt.Fields.List {
+				names := parseGuardList(f)
+				if names == nil {
 					continue
 				}
-				v, ok := st.pass.TypesInfo.Defs[f.Names[0]].(*types.Var)
-				if !ok || !lockcheck.IsMutex(v) {
+				if len(f.Names) != 1 || !isMutex(st.pass.TypesInfo.Defs[f.Names[0]]) {
+					st.pass.Reportf(f.Pos(), "guards: annotation must sit on a single sync.Mutex/sync.RWMutex field")
 					continue
 				}
-				id := pkgPath + "." + ts.Name.Name + "." + v.Name()
+				v := fieldByName[f.Names[0].Name]
+				id := pkgPath + "." + structName + "." + v.Name()
 				st.annotated[v] = id
-				st.byStruct[ts.Name.Name] = append(st.byStruct[ts.Name.Name],
+				st.byStruct[structName] = append(st.byStruct[structName],
 					structMutex{field: v.Name(), id: id})
-				st.names = append(st.names, ts.Name.Name+"."+v.Name())
+				st.names = append(st.names, structName+"."+v.Name())
+				for _, g := range names {
+					gv, ok := fieldByName[g]
+					if !ok {
+						st.pass.Reportf(f.Pos(), "guards: lists %q, which is not a field of %s (stale annotation after a rename?)", g, structName)
+						continue
+					}
+					st.guarded[gv] = guard{structName: structName, mutex: v.Name(), id: id}
+				}
 			}
 			return true
 		})
 	}
 	sort.Strings(st.names)
+}
+
+// parseGuardList extracts the field names from a `// guards: a, b`
+// comment attached to field f (doc or trailing). It returns nil when f
+// carries no guards: comment, and an empty non-nil slice for a bare
+// `// guards:`.
+func parseGuardList(f *ast.Field) []string {
+	var names []string
+	for _, cg := range []*ast.CommentGroup{f.Doc, f.Comment} {
+		if cg == nil {
+			continue
+		}
+		for _, c := range cg.List {
+			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+			rest, ok := strings.CutPrefix(text, "guards:")
+			if !ok {
+				continue
+			}
+			if names == nil {
+				names = []string{}
+			}
+			for _, n := range strings.Split(rest, ",") {
+				if n = strings.TrimSpace(n); n != "" {
+					names = append(names, n)
+				}
+			}
+		}
+	}
+	return names
+}
+
+// parseLockedAnnotation reads a `// locked:` doc-comment line: a bare
+// annotation means callers hold every relevant mutex; otherwise the
+// comma-separated mutex field names are held.
+func parseLockedAnnotation(fd *ast.FuncDecl) (all bool, names map[string]bool) {
+	names = map[string]bool{}
+	if fd.Doc == nil {
+		return false, names
+	}
+	for _, c := range fd.Doc.List {
+		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+		rest, ok := strings.CutPrefix(text, "locked:")
+		if !ok {
+			continue
+		}
+		rest = strings.TrimSpace(rest)
+		if rest == "" {
+			return true, names
+		}
+		for _, n := range strings.Split(rest, ",") {
+			n = strings.TrimSpace(n)
+			// Tolerate a trailing free-text reason after the names:
+			// take the first identifier-looking token of each part.
+			if i := strings.IndexAny(n, " \t"); i >= 0 {
+				n = n[:i]
+			}
+			if n != "" {
+				names[n] = true
+			}
+		}
+	}
+	return false, names
+}
+
+// isMutex reports whether obj is a field of type sync.Mutex or
+// sync.RWMutex.
+func isMutex(obj types.Object) bool {
+	if obj == nil {
+		return false
+	}
+	named, ok := obj.Type().(*types.Named)
+	if !ok {
+		return false
+	}
+	o := named.Obj()
+	return o.Pkg() != nil && o.Pkg().Path() == "sync" &&
+		(o.Name() == "Mutex" || o.Name() == "RWMutex")
 }
 
 // mutexOf resolves a Lock/Unlock receiver expression to an annotated
@@ -274,7 +405,7 @@ func (st *state) mutexOf(x ast.Expr) (string, bool) {
 		return "", false
 	}
 	v, ok := s.Obj().(*types.Var)
-	if !ok || !v.IsField() || !lockcheck.IsMutex(v) {
+	if !ok || !v.IsField() || !isMutex(v) {
 		return "", false
 	}
 	if id, ok := st.annotated[v]; ok {
@@ -317,8 +448,7 @@ func (st *state) mutexOf(x ast.Expr) (string, bool) {
 // seedHeld builds the initial held set from a `// locked: mu` doc
 // annotation: the named (or, bare, all) annotated mutexes of the
 // receiver's struct are held by contract when the function runs.
-func (st *state) seedHeld(fd *ast.FuncDecl) []heldLock {
-	all, names := lockcheck.ParseLockedAnnotation(fd)
+func (st *state) seedHeld(fd *ast.FuncDecl, all bool, names map[string]bool) []heldLock {
 	if !all && len(names) == 0 {
 		return nil
 	}
@@ -392,9 +522,22 @@ func (w *walker) holds(id string) *heldLock {
 	return nil
 }
 
+// use records sel if it reads or writes a guarded field.
+func (w *walker) use(sel *ast.SelectorExpr) {
+	s, ok := w.st.pass.TypesInfo.Selections[sel]
+	if !ok {
+		return
+	}
+	if v, ok := s.Obj().(*types.Var); ok {
+		if _, ok := w.st.guarded[v]; ok {
+			w.st.uses = append(w.st.uses, fieldUse{sel.Pos(), v})
+		}
+	}
+}
+
 // scan visits n and its children in source order, maintaining the held
 // set. It is a pre-order walk: branch-local lock state leaks into the
-// following statements (lexical, like lockcheck — documented).
+// following statements (lexical, as the package doc says).
 func (w *walker) scan(n ast.Node) {
 	if n == nil {
 		return
@@ -432,6 +575,8 @@ func (w *walker) scan(n ast.Node) {
 	case *ast.CallExpr:
 		w.scanCall(n)
 		return
+	case *ast.SelectorExpr:
+		w.use(n)
 	case *ast.FuncLit:
 		// A literal that is not immediately invoked (assigned, passed as
 		// a callback): check its body under the current held set — the
@@ -472,8 +617,8 @@ func (w *walker) scanGo(n *ast.GoStmt) {
 		sub := &walker{st: w.st, rec: rec}
 		sub.scan(lit.Body)
 		w.st.recs = append(w.st.recs, rec)
-	} else if sel, ok := ast.Unparen(n.Call.Fun).(*ast.SelectorExpr); ok {
-		w.scan(sel.X)
+	} else {
+		w.scan(n.Call.Fun)
 	}
 }
 
@@ -485,6 +630,7 @@ func (w *walker) scanDefer(n *ast.DeferStmt) {
 	if sel, ok := ast.Unparen(n.Call.Fun).(*ast.SelectorExpr); ok {
 		if sel.Sel.Name == "Unlock" || sel.Sel.Name == "RUnlock" {
 			if _, ok := w.st.mutexOf(sel.X); ok {
+				w.scan(sel.X)
 				return
 			}
 		}
@@ -497,14 +643,15 @@ func (w *walker) scanDefer(n *ast.DeferStmt) {
 		sub.scan(lit.Body)
 		return
 	}
+	w.scan(n.Call.Fun)
 	if fn := calleeFunc(w.st.pass, n.Call); fn != nil {
 		w.rec.deferred = append(w.rec.deferred, fn)
 	}
 }
 
 // scanSelect records a block event for a select with no default case
-// and walks the clause bodies (communication expressions are skipped:
-// select never blocks on an individual case).
+// and walks the clause bodies. Communication clauses record only their
+// guarded-field accesses: select never blocks on an individual case.
 func (w *walker) scanSelect(n *ast.SelectStmt) {
 	hasDefault := false
 	for _, c := range n.Body.List {
@@ -521,6 +668,14 @@ func (w *walker) scanSelect(n *ast.SelectStmt) {
 		if !ok {
 			continue
 		}
+		if cc.Comm != nil {
+			ast.Inspect(cc.Comm, func(c ast.Node) bool {
+				if sel, ok := c.(*ast.SelectorExpr); ok {
+					w.use(sel)
+				}
+				return true
+			})
+		}
 		for _, s := range cc.Body {
 			w.scan(s)
 		}
@@ -534,8 +689,9 @@ func (w *walker) scanCall(call *ast.CallExpr) {
 		switch sel.Sel.Name {
 		case "Lock", "RLock":
 			if id, ok := w.st.mutexOf(sel.X); ok {
+				w.scan(sel.X)
 				if h := w.holds(id); h != nil {
-					w.st.report(call.Pos(),
+					w.st.pass.Reportf(call.Pos(),
 						"%s re-locks %s (held since %s) — guaranteed self-deadlock: sync mutexes are not reentrant",
 						w.rec.name, shortMutex(id), w.st.posStr(h.pos))
 				} else {
@@ -551,6 +707,7 @@ func (w *walker) scanCall(call *ast.CallExpr) {
 			}
 		case "Unlock", "RUnlock":
 			if id, ok := w.st.mutexOf(sel.X); ok {
+				w.scan(sel.X)
 				w.release(id)
 				return
 			}
@@ -565,9 +722,7 @@ func (w *walker) scanCall(call *ast.CallExpr) {
 		w.children(lit.Body)
 		return
 	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		w.scan(sel.X)
-	}
+	w.scan(call.Fun)
 	for _, a := range call.Args {
 		w.scan(a)
 	}
@@ -655,6 +810,28 @@ func methodDisplay(fn *types.Func) string {
 	return fn.Name()
 }
 
+// checkGuarded reports the declaration's guarded-field accesses that
+// no lock covers. A lock anywhere in the declaration counts — recs are
+// its own record and those of its `go` literals — as does a
+// `// locked:` line naming the mutex, or a bare one.
+func (st *state) checkGuarded(fd *ast.FuncDecl, recs []*funcRec, all bool, names map[string]bool) {
+	if all {
+		return
+	}
+	for _, u := range st.uses {
+		g := st.guarded[u.field]
+		if names[g.mutex] || slices.ContainsFunc(recs, func(r *funcRec) bool {
+			_, ok := r.direct[g.id]
+			return ok
+		}) {
+			continue
+		}
+		st.pass.Reportf(u.pos,
+			"%s.%s is guarded by %s.%s, but %s neither locks it nor declares `// locked: %s`",
+			g.structName, u.field.Name(), g.structName, g.mutex, funcName(fd), g.mutex)
+	}
+}
+
 // --- summary resolution ----------------------------------------------------
 
 // summaryOf returns fn's transitive (acquires, blocks) summary: local
@@ -720,8 +897,8 @@ func (st *state) checkRec(rec *funcRec) {
 			continue
 		}
 		h := ev.held[len(ev.held)-1]
-		st.report(ev.pos,
-			"%s %s while holding %s (locked at %s) — may block indefinitely with the lock held; unlock first, or annotate a reviewed bounded wait with // lockorder:allow <reason>",
+		st.pass.Reportf(ev.pos,
+			"%s %s while holding %s (locked at %s) — may block indefinitely with the lock held; unlock first, or annotate a reviewed bounded wait with // unionlint:allow lockorder <reason>",
 			rec.name, ev.desc, shortMutex(h.id), st.posStr(h.pos))
 	}
 	for _, ev := range rec.calls {
@@ -732,7 +909,7 @@ func (st *state) checkRec(rec *funcRec) {
 		for _, h := range ev.held {
 			for _, m := range sortedKeys(acq) {
 				if m == h.id {
-					st.report(ev.pos,
+					st.pass.Reportf(ev.pos,
 						"%s calls %s while holding %s, and %s %s — self-deadlock: sync mutexes are not reentrant",
 						rec.name, st.fnDisplay(ev.fn), shortMutex(h.id), st.fnDisplay(ev.fn), acq[m])
 					continue
@@ -742,8 +919,8 @@ func (st *state) checkRec(rec *funcRec) {
 		}
 		if blocks != "" {
 			h := ev.held[len(ev.held)-1]
-			st.report(ev.pos,
-				"%s calls %s, which %s, while holding %s (locked at %s) — may block indefinitely with the lock held; unlock first, or annotate a reviewed bounded wait with // lockorder:allow <reason>",
+			st.pass.Reportf(ev.pos,
+				"%s calls %s, which %s, while holding %s (locked at %s) — may block indefinitely with the lock held; unlock first, or annotate a reviewed bounded wait with // unionlint:allow lockorder <reason>",
 				rec.name, st.fnDisplay(ev.fn), blocks, shortMutex(h.id), st.posStr(h.pos))
 		}
 	}
@@ -828,7 +1005,7 @@ func (st *state) reportCycles() {
 			continue
 		}
 		reported[key] = true
-		st.report(e.pos, "lock ordering cycle: %s — this call acquires %s while %s is held; consistent acquisition order required",
+		st.pass.Reportf(e.pos, "lock ordering cycle: %s — this call acquires %s while %s is held; consistent acquisition order required",
 			chain.String(), shortMutex(e.to), shortMutex(e.from))
 	}
 }
@@ -901,44 +1078,24 @@ func (st *state) exportFacts() {
 	}
 }
 
-// --- lockorder:allow -------------------------------------------------------
+// --- unionlint:allow reasons ----------------------------------------------
 
-// buildAllow indexes `// lockorder:allow <reason>` annotations. A bare
-// annotation still suppresses (it was clearly intentional) but is
-// reported: the reason is the review.
-func (st *state) buildAllow() {
-	st.allow = map[allowKey]bool{}
+// checkAllowReasons reports every `unionlint:allow` annotation that
+// names lockorder without a reason: the reason is the review. The
+// finding goes through Pass.Report, because Reportf would let the
+// annotation suppress its own diagnostic.
+func (st *state) checkAllowReasons() {
 	for _, f := range st.pass.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(c.Text)
-				text = strings.TrimPrefix(text, "//")
-				text = strings.TrimPrefix(text, "/*")
-				text = strings.TrimSuffix(text, "*/")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, allowPrefix) {
-					continue
+				names, reason, ok := analysis.ParseAllow(c.Text)
+				if ok && reason == "" && slices.Contains(names, st.pass.Analyzer.Name) {
+					st.pass.Report(analysis.Diagnostic{Pos: c.Pos(),
+						Message: "unionlint:allow lockorder needs a reason: say why this wait is bounded and cannot wedge the lock's other users"})
 				}
-				pos := st.pass.Fset.Position(c.Pos())
-				if strings.TrimSpace(text[len(allowPrefix):]) == "" {
-					st.pass.Reportf(c.Pos(),
-						"lockorder:allow needs a reason: say why this wait is bounded and cannot wedge the lock's other users")
-				}
-				st.allow[allowKey{pos.Filename, pos.Line}] = true
-				st.allow[allowKey{pos.Filename, pos.Line + 1}] = true
 			}
 		}
 	}
-}
-
-// report emits a diagnostic unless a lockorder:allow annotation covers
-// its line (unionlint:allow lockorder applies too, via Reportf).
-func (st *state) report(pos token.Pos, format string, args ...any) {
-	p := st.pass.Fset.Position(pos)
-	if st.allow[allowKey{p.Filename, p.Line}] {
-		return
-	}
-	st.pass.Reportf(pos, format, args...)
 }
 
 // --- small helpers ---------------------------------------------------------
@@ -955,21 +1112,7 @@ func shortMutex(id string) string {
 // posStr renders a position as "file.go:12".
 func (st *state) posStr(pos token.Pos) string {
 	p := st.pass.Fset.Position(pos)
-	return filepath.Base(p.Filename) + ":" + itoa(p.Line)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [12]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	return filepath.Base(p.Filename) + ":" + strconv.Itoa(p.Line)
 }
 
 // fnDisplay renders a callee for diagnostics: local functions by name,

@@ -17,14 +17,15 @@ func testdata(t *testing.T) string {
 	return abs
 }
 
-// TestLockorder pins the four scenarios the whole-module analysis
-// exists for: a cross-package ordering cycle (closed in locks/c using
-// the LockGraph fact exported by locks/b and the GuardedMutexes fact
-// from locks/a), self-deadlocks (direct re-lock, via a local callee,
-// and via an imported LockSummary fact), blocking-while-locked (direct
-// ops, a cross-package call classified through its fact, and a
-// `// locked:` seeded held set), and the lockorder:allow escape (with
-// and without the mandatory reason).
+// TestLockorder pins the scenarios the analyzer exists for: a
+// cross-package ordering cycle (closed in locks/c using the LockGraph
+// fact exported by locks/b and the GuardedMutexes fact from locks/a),
+// self-deadlocks (direct re-lock, via a local callee, and via an
+// imported LockSummary fact), blocking-while-locked (direct ops, a
+// cross-package call classified through its fact, and a `// locked:`
+// seeded held set), the `unionlint:allow lockorder` escape (with and
+// without the mandatory reason), and guarded-field access with its
+// annotation validation (lockedpkg).
 func TestLockorder(t *testing.T) {
 	analysistest.Run(t, testdata(t), lockorder.Analyzer,
 		"repro/internal/locks/a",
@@ -32,5 +33,6 @@ func TestLockorder(t *testing.T) {
 		"repro/internal/locks/c",
 		"repro/internal/locks/blocking",
 		"repro/internal/locks/held",
+		"lockedpkg",
 	)
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/analysis/failpointcheck"
 	"repro/internal/analysis/floatcmp"
 	"repro/internal/analysis/kindcheck"
-	"repro/internal/analysis/lockcheck"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/mergepure"
 	"repro/internal/analysis/seedcheck"
@@ -27,7 +26,6 @@ func Analyzers() []*analysis.Analyzer {
 		failpointcheck.Analyzer,
 		floatcmp.Analyzer,
 		kindcheck.Analyzer,
-		lockcheck.Analyzer,
 		lockorder.Analyzer,
 		mergepure.Analyzer,
 		seedcheck.Analyzer,

@@ -2,12 +2,14 @@ package server_test
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
 	"net"
 	"net/http/httptest"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"testing"
 	"time"
@@ -442,6 +444,57 @@ func TestQueryErrors(t *testing.T) {
 	if _, err := cl.DistinctCount(1); err != nil {
 		t.Errorf("seeded query: %v", err)
 	}
+}
+
+// TestHeaderBombConnsHoldLittleHeap opens raw connections that each
+// send one frame header declaring the largest allowed payload and then
+// go quiet. The readers must not reserve the declared payload up
+// front: eight such connections would otherwise pin 128 MiB of heap.
+func TestHeaderBombConnsHoldLittleHeap(t *testing.T) {
+	srv := server.New(server.Config{})
+	addr := startServer(t, srv)
+	base := liveHeap()
+
+	hdr := wire.EncodeFrame(wire.MsgPush, nil)
+	binary.LittleEndian.PutUint32(hdr[4:8], wire.DefaultMaxPayload)
+	const conns = 8
+	for i := 0; i < conns; i++ {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Write(hdr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Stats().ActiveConns < conns {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d connections accepted", srv.Stats().ActiveConns, conns)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The readers reach the payload read moments after accepting;
+	// sample the live heap over a while so none is missed.
+	var peak uint64
+	for i := 0; i < 10; i++ {
+		time.Sleep(20 * time.Millisecond)
+		if live := liveHeap(); live > base {
+			peak = max(peak, live-base)
+		}
+	}
+	if peak >= 16<<20 {
+		t.Errorf("%d header-only connections grew the live heap by %d MiB; want < 16 MiB", conns, peak>>20)
+	}
+}
+
+// liveHeap returns the bytes of heap reachable after a full GC.
+func liveHeap() uint64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 func TestGracefulShutdownDrains(t *testing.T) {

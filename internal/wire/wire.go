@@ -208,8 +208,8 @@ func ReadFrame(r io.Reader, limit uint32) (MsgType, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, n)
+	if err != nil {
 		if err == io.EOF {
 			// Zero payload bytes after a complete header is still a
 			// truncated frame, not a clean end of stream; wrapping the
@@ -223,6 +223,30 @@ func ReadFrame(r io.Reader, limit uint32) (MsgType, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: checksum %08x, header says %08x", ErrFrame, got, want)
 	}
 	return t, payload, nil
+}
+
+// eagerPayload is the largest payload ReadFrame allocates in full on
+// the header's word alone. Typical sketch messages (kilobytes) fit
+// under it and keep their single exact-size allocation.
+const eagerPayload = 64 << 10
+
+// readPayload reads exactly n bytes from r. Above eagerPayload the
+// buffer grows (at most doubling, capped at n) as bytes arrive, so a
+// peer that sends a header and then stalls or hangs up holds the
+// larger of eagerPayload and twice what it sent, not the n it declared.
+func readPayload(r io.Reader, n uint32) ([]byte, error) {
+	buf := make([]byte, min(n, eagerPayload))
+	read := 0
+	for {
+		m, err := io.ReadFull(r, buf[read:])
+		read += m
+		if err != nil || read == int(n) {
+			return buf, err
+		}
+		grown := make([]byte, min(2*len(buf), int(n)))
+		copy(grown, buf)
+		buf = grown
+	}
 }
 
 // DecodeFrame decodes one frame from the front of b, returning the

@@ -2,11 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -131,6 +134,50 @@ func TestReadFrameTruncationAlwaysErrFrame(t *testing.T) {
 	// before a frame began.
 	if _, _, err := ReadFrame(bytes.NewReader(nil), 0); err != io.EOF {
 		t.Errorf("empty stream: err = %v, want bare io.EOF", err)
+	}
+}
+
+// TestReadFrameHeaderBomb sends a header that declares the largest
+// allowed payload and then ends the stream. The reader must fail with
+// ErrFrame without allocating the declared 16 MiB up front.
+func TestReadFrameHeaderBomb(t *testing.T) {
+	hdr := EncodeFrame(MsgPush, nil)
+	binary.LittleEndian.PutUint32(hdr[4:8], DefaultMaxPayload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(hdr), 0)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrFrame) || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("header-only frame: err = %v, want ErrFrame wrapping io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("header-only frame allocated %d bytes; want < 1 MiB", grew)
+	}
+}
+
+// TestReadFrameLargePayload covers the grown-buffer path above the
+// eager size: payloads arriving in small reads round-trip, and a
+// stream cut inside them is a truncation, not a clean end.
+func TestReadFrameLargePayload(t *testing.T) {
+	for _, n := range []int{eagerPayload - 1, eagerPayload, eagerPayload + 1, 3*eagerPayload + 7} {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = byte(i * 7)
+		}
+		enc := EncodeFrame(MsgPush, p)
+		typ, got, err := ReadFrame(iotest.HalfReader(bytes.NewReader(enc)), 0)
+		if err != nil || typ != MsgPush || !bytes.Equal(got, p) {
+			t.Fatalf("%d-byte payload: type %v, %d bytes, err %v", n, typ, len(got), err)
+		}
+		for _, cut := range []int{HeaderSize + n/2, HeaderSize + eagerPayload, len(enc) - 1} {
+			if cut >= len(enc) {
+				continue
+			}
+			_, _, err := ReadFrame(bytes.NewReader(enc[:cut]), 0)
+			if !errors.Is(err, ErrFrame) || !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("%d-byte payload cut at %d: err = %v, want ErrFrame wrapping io.ErrUnexpectedEOF", n, cut, err)
+			}
+		}
 	}
 }
 
