@@ -29,23 +29,23 @@ go vet ./...
 echo "== unionlint self-test (golden suites) =="
 # The linter's own analysistest suites run before the linter is trusted
 # with the tree: a broken analyzer must fail loudly here, not silently
-# under-report in the vettool pass below. This includes the lockorder
-# and allocflow golden suites and their .vetx fact round-trips
-# (internal/analysis/driver).
+# under-report in the pass below. This includes the lockorder and
+# allocflow golden suites and the driver's cross-package fact and
+# test-file cases over temp modules (internal/analysis/driver).
 go test -count=1 ./internal/analysis/...
 
-echo "== unionlint =="
+echo "== unionlint (lint/report.jsonl) =="
 UNIONLINT="$(go env GOPATH)/bin/unionlint"
 go build -o "$UNIONLINT" ./cmd/unionlint
-# Run through `go vet -vettool` so test compilations are analyzed too
-# and results cache per package. Diagnostics are captured and regrouped
-# into a per-analyzer summary when the gate fails.
-UNIONLINT_OUT="$(mktemp)"
-trap 'rm -f "$UNIONLINT_OUT"' EXIT
-if ! go vet -vettool="$UNIONLINT" ./... 2>"$UNIONLINT_OUT"; then
-    cat "$UNIONLINT_OUT"
-    echo
-    "$UNIONLINT" -summarize <"$UNIONLINT_OUT"
+# One run over every package and its test compilations. It gates on
+# findings (-json exits 1 and prints the grouped per-analyzer summary
+# on stderr), and its machine-readable findings are tracked as a trend
+# artifact: a clean tree commits an empty lint/report.jsonl, and the
+# regeneration must match it byte for byte.
+REPORT_TMP="$(mktemp)"
+ALLOCFLOW_TMP="$(mktemp)"
+trap 'rm -f "$REPORT_TMP" "$ALLOCFLOW_TMP"' EXIT
+if ! "$UNIONLINT" -json ./... >"$REPORT_TMP"; then
     echo "ci.sh: unionlint found violations (fix them, annotate" \
          "'unionlint:allow <analyzer> <reason>', or run" \
          "'go run ./cmd/unionlint -fix ./...' for %w rewrites)."
@@ -61,34 +61,21 @@ if ! go vet -vettool="$UNIONLINT" ./... 2>"$UNIONLINT_OUT"; then
          "with // allocflow:cold <reason>); see README 'Static analysis'."
     exit 1
 fi
+if ! diff -u lint/report.jsonl "$REPORT_TMP"; then
+    echo "ci.sh: lint/report.jsonl is stale; regenerate with:" \
+         "go run ./cmd/unionlint -json ./... > lint/report.jsonl"
+    exit 1
+fi
 
 echo "== allocflow baseline freshness (lint/allocflow.baseline) =="
 # The committed baseline must match what the current tree generates:
 # a budget change without a regenerated baseline is invisible to the
-# vettool pass above (which gates against the committed file), so CI
+# pass above (which gates against the committed file), so CI
 # regenerates to a scratch path and diffs modulo the comment header.
-ALLOCFLOW_TMP="$(mktemp)"
-REPORT_TMP=""
-trap 'rm -f "$UNIONLINT_OUT" "$ALLOCFLOW_TMP" "$REPORT_TMP"' EXIT
 "$UNIONLINT" -allocflow.update -allocflow.baseline="$ALLOCFLOW_TMP" ./... >/dev/null
 if ! diff -u <(grep -v '^#' lint/allocflow.baseline) <(grep -v '^#' "$ALLOCFLOW_TMP"); then
     echo "ci.sh: lint/allocflow.baseline is stale; regenerate with:" \
          "go run ./cmd/unionlint -allocflow.update ./..."
-    exit 1
-fi
-
-echo "== unionlint JSONL report freshness (lint/report.jsonl) =="
-# The full standalone run's machine-readable findings, tracked as a
-# trend artifact: a clean tree commits an empty file, and any future
-# findings show up in review as a diff of lint/report.jsonl. The
-# vettool gate above already failed on violations, so this run is
-# expected clean (-json exits 1 on findings, which still fails here),
-# and the committed artifact must match the regeneration byte for byte.
-REPORT_TMP="$(mktemp)"
-"$UNIONLINT" -json ./... > "$REPORT_TMP"
-if ! diff -u lint/report.jsonl "$REPORT_TMP"; then
-    echo "ci.sh: lint/report.jsonl is stale; regenerate with:" \
-         "go run ./cmd/unionlint -json ./... > lint/report.jsonl"
     exit 1
 fi
 

@@ -4,23 +4,17 @@
 // allocflow, kindcheck, mergepure, ackcontract, failpointcheck —
 // see `unionlint -help` or README "Static analysis").
 //
-// It runs in two modes:
+//	unionlint [flags] [packages]
 //
-//	go vet -vettool=$(go env GOPATH)/bin/unionlint ./...
-//
-// speaks the go command's vet-tool protocol (this is what ci.sh runs:
-// it covers test compilations, caches per package, and round-trips
-// analyzer facts through .vetx files), and
-//
-//	unionlint [flags] ./...
-//
-// loads packages itself in dependency order (so facts flow the same
-// way) and prints findings grouped per analyzer. Standalone-only
-// flags: -fix applies the mechanical suggested fixes (errcontract's
-// %w rewrites); -json emits one JSON object per diagnostic for CI
-// artifacts; -allocflow.update regenerates the allocation-budget
-// baseline (lint/allocflow.baseline); -summarize regroups vet-mode
-// output read from stdin.
+// loads the module's packages matching the patterns (default ./...)
+// together with their test compilations, analyzes them in dependency
+// order so cross-package facts flow from each package to its
+// importers, and prints findings grouped per analyzer. -fix applies
+// the mechanical suggested fixes (errcontract's %w rewrites); -json
+// emits one JSON object per diagnostic on stdout, with the grouped
+// summary on stderr when there are findings (what ci.sh gates on and
+// diffs against lint/report.jsonl); -allocflow.update regenerates the
+// allocation-budget baseline (lint/allocflow.baseline).
 package main
 
 import (
@@ -41,24 +35,11 @@ func main() {
 
 func run(argv []string) int {
 	progname := filepath.Base(argv[0])
-	args := argv[1:]
 	analyzers := registry.Analyzers()
 
-	// The two go-command handshakes come before normal flag parsing:
-	// cmd/go invokes them with exactly one argument.
-	if len(args) == 1 && args[0] == "-V=full" {
-		driver.PrintVersion(os.Stdout, progname)
-		return 0
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		driver.PrintFlagDefs(os.Stdout, analyzers)
-		return 0
-	}
-
 	fs := flag.NewFlagSet(progname, flag.ContinueOnError)
-	fix := fs.Bool("fix", false, "apply suggested fixes to the source tree (standalone mode)")
+	fix := fs.Bool("fix", false, "apply suggested fixes to the source tree")
 	jsonOut := fs.Bool("json", false, "print findings as JSON Lines (one diagnostic per line) instead of the grouped summary")
-	summarize := fs.Bool("summarize", false, "read vet-mode diagnostics from stdin and print a per-analyzer summary")
 	update := fs.Bool("allocflow.update", false, "regenerate lint/allocflow.baseline from the current tree (alias for -allocflow.write=1)")
 	verbose := fs.Bool("v", false, "also list analyzers that found nothing")
 	var flagVals []*string
@@ -71,37 +52,21 @@ func run(argv []string) int {
 		}
 	}
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [flags] [package patterns | path/to/vet.cfg]\n\nAnalyzers:\n", progname)
+		fmt.Fprintf(os.Stderr, "usage: %s [flags] [package patterns]\n\nAnalyzers:\n", progname)
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, firstLine(a.Doc))
 		}
 		fmt.Fprintf(os.Stderr, "\nFlags:\n")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(argv[1:]); err != nil {
 		return 2
 	}
 	for i, f := range flagRefs {
 		f.Value = *flagVals[i]
 	}
 
-	if *summarize {
-		if err := driver.Summarize(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
-			return 1
-		}
-		return 0
-	}
-
-	rest := fs.Args()
-
-	// Vet-tool mode: the go command passes a single *.cfg file.
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return driver.RunVetUnit(rest[0], analyzers)
-	}
-
-	// Standalone mode.
-	patterns := rest
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -116,28 +81,12 @@ func run(argv []string) int {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
 		return 1
 	}
-	pkgs, err := driver.LoadModulePackages(".", patterns...)
+	res, err := driver.Analyze(".", analyzers, patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
 		return 1
 	}
-	// One shared fact store; packages arrive in dependency order, so
-	// by the time a package runs, every fact of its transitive imports
-	// is present, and the per-package view hides everything else.
-	store := driver.NewFactStore(analyzers)
-	var findings []driver.Finding
-	for _, pkg := range pkgs {
-		visible := make(map[string]bool, len(pkg.Deps))
-		for _, d := range pkg.Deps {
-			visible[d] = true
-		}
-		fs, err := driver.RunAnalyzers(pkg, analyzers, store.View(pkg.Pkg, visible))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
-			return 1
-		}
-		findings = append(findings, fs...)
-	}
+	findings := res.Findings
 	if *fix {
 		n, err := driver.ApplyFixes(findings)
 		if err != nil {
@@ -156,6 +105,9 @@ func run(argv []string) int {
 			return 1
 		}
 		if len(findings) > 0 {
+			// stdout stays machine-readable; people read stderr.
+			driver.PrintGrouped(os.Stderr, findings)
+			fmt.Fprintf(os.Stderr, "%s: %d finding(s)\n", progname, len(findings))
 			return 1
 		}
 		return 0
@@ -166,7 +118,7 @@ func run(argv []string) int {
 				fmt.Printf("-- %s: ok\n", a.Name)
 			}
 		}
-		fmt.Printf("%s: %d package(s) clean\n", progname, len(pkgs))
+		fmt.Printf("%s: %d package(s) clean\n", progname, res.Packages)
 		return 0
 	}
 	driver.PrintGrouped(os.Stdout, findings)

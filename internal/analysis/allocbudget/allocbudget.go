@@ -39,32 +39,18 @@ type Set struct {
 // (restricted to patterns) and harvests every exported AllocSummary.
 // Findings are discarded: Load wants the facts, not the report.
 func Load(dir string, patterns ...string) (*Set, error) {
-	analyzers := []*analysis.Analyzer{allocflow.Analyzer}
-	pkgs, err := driver.LoadModulePackages(dir, patterns...)
+	res, err := driver.Analyze(dir, []*analysis.Analyzer{allocflow.Analyzer}, patterns...)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("allocbudget: %w", err)
 	}
-	if len(pkgs) == 0 {
+	if res.Packages == 0 {
 		return nil, fmt.Errorf("allocbudget: no packages match %v", patterns)
 	}
-	store := driver.NewFactStore(analyzers)
-	for _, pkg := range pkgs {
-		visible := make(map[string]bool, len(pkg.Deps))
-		for _, d := range pkg.Deps {
-			visible[d] = true
-		}
-		if _, err := driver.RunAnalyzers(pkg, analyzers, store.View(pkg.Pkg, visible)); err != nil {
-			return nil, fmt.Errorf("allocbudget: analyzing %s: %w", pkg.Pkg.Path(), err)
-		}
-	}
-	// Harvest with an unrestricted view (nil visible = everything).
 	set := &Set{summaries: map[string]*allocflow.AllocSummary{}}
-	for _, of := range store.View(pkgs[len(pkgs)-1].Pkg, nil).AllObjectFacts() {
-		sum, ok := of.Fact.(*allocflow.AllocSummary)
-		if !ok {
-			continue
+	for _, of := range res.Facts.ObjectFacts() {
+		if sum, ok := of.Fact.(*allocflow.AllocSummary); ok {
+			set.summaries[of.Path+"."+of.Object] = sum
 		}
-		set.summaries[of.Path+"."+of.Object] = sum
 	}
 	return set, nil
 }

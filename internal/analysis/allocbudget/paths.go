@@ -17,7 +17,7 @@ var (
 	seamMarshal   = Seam{Match: regexp.MustCompile(`\(repro/internal/sketch\.Sketch\)\.MarshalBinary`), Extra: 0}
 	seamMerge     = Seam{Match: regexp.MustCompile(`\(repro/internal/sketch\.Sketch\)\.Merge`), Extra: 0}
 	seamWeighted  = Seam{Match: regexp.MustCompile(`\(repro/internal/sketch\.Weighted\)\.ProcessWeighted`), Extra: 0}
-	seamErrError = Seam{Match: regexp.MustCompile(`\(error\)\.Error`), Extra: 0}
+	seamErrError  = Seam{Match: regexp.MustCompile(`\(error\)\.Error`), Extra: 0}
 
 	decodeCall = regexp.MustCompile(`dynamic call info\.Decode`)
 )

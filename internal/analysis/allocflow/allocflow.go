@@ -11,8 +11,8 @@
 // stdlib entry points) as a `calls-unknown` escape hatch. Summaries
 // are transitive — a function inherits its callees' summaries with
 // multiplicity — and are exported as object facts, so taint crosses
-// package boundaries through all three drivers exactly like
-// mergepure's Impure and lockorder's LockSummary. A fact miss means
+// package boundaries exactly like mergepure's Impure and lockorder's
+// LockSummary. A fact miss means
 // "allocation-free": the lattice bottom.
 //
 // Findings are reported only for `// hotpath:` roots (the per-item
@@ -282,6 +282,11 @@ func run(pass *analysis.Pass) error {
 	st.exportFacts()
 
 	if isSet(writeFlag.Value) {
+		if pass.Pkg.Path() != pass.PkgPath() {
+			// A test variant re-derives its package's buckets (test
+			// files are skipped); the package itself wrote them.
+			return nil
+		}
 		return st.writeBaseline()
 	}
 	baseline, err := st.loadBaseline()
@@ -1049,10 +1054,9 @@ func (st *state) loadBaseline() (map[budgetKey]int, error) {
 	return out, nil
 }
 
-// writeBaseline appends this package's hot-root buckets (the
-// standalone driver truncates the file before the sweep). Amortized
-// buckets are never baselined: their acceptance lives in the
-// annotation, not here.
+// writeBaseline appends this package's hot-root buckets (unionlint
+// truncates the file before the sweep). Amortized buckets are never
+// baselined: their acceptance lives in the annotation, not here.
 func (st *state) writeBaseline() error {
 	path := st.baselinePath(true)
 	if path == "" {

@@ -6,9 +6,10 @@
 // The repository vendors no third-party modules, so this package
 // reimplements just the slice of the x/tools surface the unionlint
 // analyzers need, keeping their code shaped so a future migration to
-// the real framework is a find-and-replace. Drivers live in
-// internal/analysis/driver (standalone + `go vet -vettool` modes) and
-// internal/analysis/analysistest (golden tests).
+// the real framework is a find-and-replace. The driver lives in
+// internal/analysis/driver (one in-memory walk over a module and its
+// test compilations), the golden-test loader in
+// internal/analysis/analysistest.
 //
 // # Suppression
 //
@@ -42,8 +43,9 @@ type Analyzer struct {
 	// the -<name>. prefix. Nil means no flags.
 	Flags []*Flag
 	// FactTypes lists one zero value per concrete Fact type the
-	// analyzer exports or imports, so drivers can register them for
-	// gob (de)serialization. Nil means the analyzer uses no facts.
+	// analyzer exports or imports, as x/tools requires. The in-memory
+	// driver does not read it; it documents the analyzer's facts and
+	// keeps the migration mechanical. Nil means no facts.
 	FactTypes []Fact
 	// Run performs the check on one package.
 	Run func(*Pass) error

@@ -8,7 +8,7 @@
 // Imports between testdata packages are resolved from source,
 // recursively, within one shared fact store — so fact-driven analyzers
 // (kindcheck, ackcontract, ...) see their dependencies' facts exactly
-// as the real drivers deliver them. Standard-library imports resolve
+// as the driver delivers them. Standard-library imports resolve
 // through the build cache. Expectations are comments of the form
 //
 //	expr // want "regexp"
@@ -128,7 +128,7 @@ func newLoader(t *testing.T, dir string, a *analysis.Analyzer, overlay map[strin
 		dir:      dir,
 		analyzer: a,
 		fset:     token.NewFileSet(),
-		store:    driver.NewFactStore([]*analysis.Analyzer{a}),
+		store:    driver.NewFactStore(),
 		overlay:  overlay,
 		pkgs:     map[string]*loadedPkg{},
 		loading:  map[string]bool{},
@@ -201,12 +201,12 @@ func (ld *loader) load(pkgPath string) *loadedPkg {
 	if len(files) == 0 {
 		ld.t.Fatalf("%s: no Go files in %s", pkgPath, pkgDir)
 	}
-	pkg, err := driver.TypeCheckImporter(ld.fset, pkgPath, files, ld, "")
+	pkg, err := driver.TypeCheckImporter(ld.fset, pkgPath, files, ld)
 	if err != nil {
 		ld.t.Fatalf("%s: %v", pkgPath, err)
 	}
 	// Restrict fact visibility to the package's transitive imports,
-	// exactly as the real drivers do — a testdata package must not see
+	// exactly as the driver does — a testdata package must not see
 	// facts of packages it does not (transitively) import, even when
 	// one Run call has already loaded them into the shared store.
 	findings, err := driver.RunAnalyzers(pkg, []*analysis.Analyzer{ld.analyzer},

@@ -1,11 +1,9 @@
 package driver
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/types"
-	"os"
+	"maps"
 	"reflect"
 	"sort"
 	"sync"
@@ -15,19 +13,10 @@ import (
 
 // A FactStore accumulates the facts exported by analyzer passes and
 // serves them back to later passes, keyed by (package, object, fact
-// type). One store serves one driver invocation:
-//
-//   - the standalone driver keeps a single in-process store and hands
-//     each package a View restricted to its transitive imports;
-//   - the vet front end builds a fresh store per compilation unit,
-//     seeded from the .vetx files of the unit's direct imports
-//     (ReadFile) and flushed to the unit's own .vetx (WriteFile).
-//     Every .vetx re-exports the facts it imported, so direct-import
-//     files carry the whole transitive closure — exactly the x/tools
-//     unitchecker contract.
-//
-// Facts are stored and shipped as gob; RegisterFactTypes must see
-// every analyzer before any store I/O so the concrete types decode.
+// type). Analyze keeps one store for the module's non-test packages
+// and hands each package a View restricted to its transitive imports;
+// each package's test compilations work in a clone, so facts about
+// test files never reach another package.
 type FactStore struct {
 	mu    sync.Mutex
 	facts map[factKey]analysis.Fact
@@ -39,21 +28,17 @@ type factKey struct {
 	typ reflect.Type
 }
 
-// NewFactStore returns an empty store with the analyzers' fact types
-// gob-registered.
-func NewFactStore(analyzers []*analysis.Analyzer) *FactStore {
-	RegisterFactTypes(analyzers)
+// NewFactStore returns an empty store.
+func NewFactStore() *FactStore {
 	return &FactStore{facts: map[factKey]analysis.Fact{}}
 }
 
-// RegisterFactTypes registers every analyzer's FactTypes with gob.
-// Safe to call repeatedly with the same types.
-func RegisterFactTypes(analyzers []*analysis.Analyzer) {
-	for _, a := range analyzers {
-		for _, ft := range a.FactTypes {
-			gob.Register(ft)
-		}
-	}
+// clone returns a store holding the same facts, whose later exports
+// do not reach s.
+func (s *FactStore) clone() *FactStore {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return &FactStore{facts: maps.Clone(s.facts)}
 }
 
 // set validates and records one fact.
@@ -83,101 +68,8 @@ func (s *FactStore) get(pkg, obj string, dst analysis.Fact) bool {
 	return true
 }
 
-// gobFact is the serialized form of one fact.
-type gobFact struct {
-	Pkg  string
-	Obj  string
-	Fact analysis.Fact
-}
-
-// Encode serializes every fact in the store.
-func (s *FactStore) Encode() ([]byte, error) {
-	s.mu.Lock()
-	out := make([]gobFact, 0, len(s.facts))
-	for k, f := range s.facts {
-		out = append(out, gobFact{Pkg: k.pkg, Obj: k.obj, Fact: f})
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		if a.Obj != b.Obj {
-			return a.Obj < b.Obj
-		}
-		return fmt.Sprintf("%T", a.Fact) < fmt.Sprintf("%T", b.Fact)
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(out); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode merges serialized facts into the store.
-func (s *FactStore) Decode(data []byte) error {
-	var in []gobFact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&in); err != nil {
-		return err
-	}
-	for _, gf := range in {
-		if gf.Fact == nil {
-			continue
-		}
-		if err := s.set(factKey{gf.Pkg, gf.Obj, reflect.TypeOf(gf.Fact)}, gf.Fact); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteFile writes the store's full contents to a .vetx-style file.
-func (s *FactStore) WriteFile(path string) error {
-	data, err := s.Encode()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o666)
-}
-
-// ReadFile merges a .vetx-style file into the store. An empty file is
-// a valid empty fact set.
-func (s *FactStore) ReadFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(data) == 0 {
-		return nil
-	}
-	if err := s.Decode(data); err != nil {
-		return fmt.Errorf("decoding facts from %s: %w", path, err)
-	}
-	return nil
-}
-
-// Packages returns the import paths that have at least one fact.
-func (s *FactStore) Packages() []string {
-	s.mu.Lock()
-	set := map[string]bool{}
-	for k := range s.facts {
-		set[k.pkg] = true
-	}
-	s.mu.Unlock()
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // View binds the store to one pass: exports attach to pkg, and imports
-// are restricted to visible import paths (plus pkg itself). A nil
-// visible set means everything in the store is visible — the vet front
-// end uses that, since its store holds exactly the unit's transitive
-// closure by construction.
+// are restricted to visible import paths (plus pkg itself).
 func (s *FactStore) View(pkg *types.Package, visible map[string]bool) analysis.FactContext {
 	return &storeView{store: s, pkg: pkg, visible: visible}
 }
@@ -185,7 +77,7 @@ func (s *FactStore) View(pkg *types.Package, visible map[string]bool) analysis.F
 type storeView struct {
 	store   *FactStore
 	pkg     *types.Package
-	visible map[string]bool // nil = all
+	visible map[string]bool
 }
 
 func (v *storeView) selfPath() string {
@@ -193,7 +85,7 @@ func (v *storeView) selfPath() string {
 }
 
 func (v *storeView) canSee(path string) bool {
-	return v.visible == nil || v.visible[path] || path == v.selfPath()
+	return v.visible[path] || path == v.selfPath()
 }
 
 func (v *storeView) ImportPackageFact(path string, fact analysis.Fact) bool {
@@ -263,14 +155,24 @@ func (v *storeView) AllPackageFacts() []analysis.PackageFact {
 }
 
 func (v *storeView) AllObjectFacts() []analysis.ObjectFact {
-	v.store.mu.Lock()
+	return v.store.objectFacts(v.canSee)
+}
+
+// ObjectFacts returns every object fact in the store, in deterministic
+// order.
+func (s *FactStore) ObjectFacts() []analysis.ObjectFact {
+	return s.objectFacts(func(string) bool { return true })
+}
+
+func (s *FactStore) objectFacts(visible func(pkg string) bool) []analysis.ObjectFact {
+	s.mu.Lock()
 	var out []analysis.ObjectFact
-	for k, f := range v.store.facts {
-		if k.obj != "" && v.canSee(k.pkg) {
+	for k, f := range s.facts {
+		if k.obj != "" && visible(k.pkg) {
 			out = append(out, analysis.ObjectFact{Path: k.pkg, Object: k.obj, Fact: f})
 		}
 	}
-	v.store.mu.Unlock()
+	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Path != out[j].Path {
 			return out[i].Path < out[j].Path

@@ -10,26 +10,32 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
+
+	"repro/internal/analysis"
 )
 
 // listedPackage is the slice of `go list -json` output we consume.
 type listedPackage struct {
 	ImportPath string
+	Name       string
 	Dir        string
+	ForTest    string // set on test variants: the package under test
 	Standard   bool
 	Export     string
 	GoFiles    []string
-	Deps       []string // transitive import paths
+	Deps       []string          // transitive import paths
+	ImportMap  map[string]string // import path → variant, in test variants
 	Module     *struct{ Path, Dir string }
 }
 
-// GoList runs `go list -deps -export -json` for patterns in dir and
-// decodes the package stream. Export data is compiled (from cache) as
-// a side effect, so every dependency can be imported without source
-// re-typechecking.
-func GoList(dir string, patterns ...string) ([]*listedPackage, error) {
-	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Standard,Export,GoFiles,Deps,Module"}, patterns...)
-	cmd := exec.Command("go", args...)
+// GoList runs `go list -deps -export -json` in dir and decodes the
+// package stream; args are extra go list flags followed by package
+// patterns. Export data is compiled (from cache) as a side effect, so
+// every dependency can be imported without source re-typechecking.
+func GoList(dir string, args ...string) ([]*listedPackage, error) {
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-export",
+		"-json=ImportPath,Name,Dir,ForTest,Standard,Export,GoFiles,Deps,ImportMap,Module"}, args...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -53,7 +59,7 @@ func GoList(dir string, patterns ...string) ([]*listedPackage, error) {
 		pkgs = append(pkgs, &p)
 	}
 	if err := cmd.Wait(); err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
+		return nil, fmt.Errorf("go list %v: %v\n%s", args, err, stderr.String())
 	}
 	return pkgs, nil
 }
@@ -69,37 +75,52 @@ func ExportMap(pkgs []*listedPackage) map[string]string {
 	return m
 }
 
-// LoadModulePackages loads, parses and type-checks every non-test
-// package matched by patterns that belongs to the enclosing module
-// (identified from dir's go.mod). Test compilations are covered by the
-// `go vet -vettool` front end, which the go command feeds test
-// variants natively.
+// loadModulePackages loads, parses and type-checks every package
+// matched by patterns that belongs to the enclosing module (identified
+// from dir's go.mod), together with its test compilations: the
+// internal test variant "p [p.test]" (p's files plus its _test.go
+// files) and the external test package "p_test [p.test]". Dependencies
+// that go list recompiles for a test ("q [p.test]") and the generated
+// "p.test" mains are skipped; their sources are analyzed as q and not
+// at all, respectively.
 //
-// Packages come back in dependency order (every package after all of
-// its imports) so a driver analyzing them in sequence sees facts from
-// a package's imports before reaching the package itself; sorting by
-// transitive-dep count achieves that, since an importer always has a
-// strictly larger dependency closure than each of its imports.
-func LoadModulePackages(dir string, patterns ...string) ([]*Package, error) {
+// Non-test packages come first, in dependency order (every package
+// after all of its imports), so a driver analyzing them in sequence
+// sees facts from a package's imports before reaching the package
+// itself; sorting by transitive-dep count achieves that, since an
+// importer always has a strictly larger dependency closure than each
+// of its imports. Test variants follow, grouped per package under
+// test, the internal variant before the external package that imports
+// it.
+func loadModulePackages(dir string, patterns ...string) ([]*Package, error) {
 	modRoot, modPath, err := FindModule(dir)
 	if err != nil {
 		return nil, err
 	}
-	listed, err := GoList(modRoot, patterns...)
+	listed, err := GoList(modRoot, append([]string{"-test"}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
 	exports := ExportMap(listed)
-	lookup := FileLookup(nil, exports)
 	var inModule []*listedPackage
 	for _, lp := range listed {
 		if lp.Standard || lp.Module == nil || lp.Module.Path != modPath || len(lp.GoFiles) == 0 {
 			continue
 		}
+		if lp.ForTest == "" && lp.Name == "main" && strings.HasSuffix(lp.ImportPath, ".test") {
+			continue // generated test main
+		}
+		if base := analysis.TrimPkgPath(lp.ImportPath); lp.ForTest != "" && base != lp.ForTest && base != lp.ForTest+"_test" {
+			continue // dependency recompiled for a test
+		}
 		inModule = append(inModule, lp)
 	}
 	sort.SliceStable(inModule, func(i, j int) bool {
-		return len(inModule[i].Deps) < len(inModule[j].Deps)
+		a, b := inModule[i], inModule[j]
+		if a.ForTest != b.ForTest {
+			return a.ForTest < b.ForTest
+		}
+		return len(a.Deps) < len(b.Deps)
 	})
 	var out []*Package
 	for _, lp := range inModule {
@@ -112,11 +133,14 @@ func LoadModulePackages(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg, err := TypeCheck(fset, lp.ImportPath, files, lookup, "")
+		pkg, err := TypeCheck(fset, lp.ImportPath, files, FileLookup(lp.ImportMap, exports))
 		if err != nil {
 			return nil, err
 		}
-		pkg.Deps = lp.Deps
+		pkg.ForTest = lp.ForTest
+		for _, d := range lp.Deps {
+			pkg.Deps = append(pkg.Deps, analysis.TrimPkgPath(d))
+		}
 		out = append(out, pkg)
 	}
 	return out, nil

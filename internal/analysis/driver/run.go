@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"repro/internal/analysis"
 )
@@ -18,6 +17,62 @@ type Finding struct {
 	Pos      token.Position
 	Diag     analysis.Diagnostic
 	Fset     *token.FileSet
+}
+
+// Result is one Analyze run.
+type Result struct {
+	// Packages counts the packages analyzed, test compilations
+	// included.
+	Packages int
+	// Findings holds every diagnostic once, sorted.
+	Findings []Finding
+	// Facts holds the facts of the module's non-test packages.
+	Facts *FactStore
+}
+
+// Analyze runs analyzers over every package loadModulePackages yields
+// for dir and patterns, in its order, sharing one in-memory fact
+// store: each package sees exactly the facts of its transitive
+// imports. A package's test compilations share a clone of the store
+// (the external test package sees what the internal variant
+// exported), so facts about _test.go files never reach another
+// package. A package and its internal test variant share the non-test
+// files; a finding there is kept once.
+func Analyze(dir string, analyzers []*analysis.Analyzer, patterns ...string) (*Result, error) {
+	pkgs, err := loadModulePackages(dir, patterns...)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Packages: len(pkgs), Facts: NewFactStore()}
+	type findingKey struct {
+		analyzer string
+		pos      token.Position
+		msg      string
+	}
+	seen := map[findingKey]bool{}
+	store, forTest := res.Facts, ""
+	for _, pkg := range pkgs {
+		if pkg.ForTest != forTest {
+			store, forTest = res.Facts.clone(), pkg.ForTest
+		}
+		visible := make(map[string]bool, len(pkg.Deps))
+		for _, d := range pkg.Deps {
+			visible[d] = true
+		}
+		fs, err := RunAnalyzers(pkg, analyzers, store.View(pkg.Pkg, visible))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", pkg.Pkg.Path(), err)
+		}
+		for _, f := range fs {
+			k := findingKey{f.Analyzer, f.Pos, f.Diag.Message}
+			if !seen[k] {
+				seen[k] = true
+				res.Findings = append(res.Findings, f)
+			}
+		}
+	}
+	sortFindings(res.Findings)
+	return res, nil
 }
 
 // RunAnalyzers runs every analyzer over pkg and returns the findings.
@@ -64,15 +119,6 @@ func sortFindings(fs []Finding) {
 		}
 		return a.Pos.Column < b.Pos.Column
 	})
-}
-
-// PrintPlain writes findings one per line as "file:line:col: [name]
-// message" — the format the vet front end relays and -summarize
-// re-groups.
-func PrintPlain(w io.Writer, fs []Finding) {
-	for _, f := range fs {
-		fmt.Fprintf(w, "%s: [%s] %s\n", f.Pos, f.Analyzer, f.Diag.Message)
-	}
 }
 
 // PrintGrouped writes a per-analyzer summary: a header with the count
@@ -128,54 +174,6 @@ func PrintJSON(w io.Writer, fs []Finding) error {
 		if err := enc.Encode(jf); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// Summarize reads plain "file:line:col: [name] message" lines (as
-// emitted by the vet mode, possibly interleaved with go vet's own "#
-// package" headers) and prints the grouped per-analyzer summary.
-func Summarize(r io.Reader, w io.Writer) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	type line struct{ loc, name, msg string }
-	byName := map[string][]line{}
-	var names []string
-	seen := map[string]bool{}
-	for _, l := range strings.Split(string(data), "\n") {
-		l = strings.TrimSpace(l)
-		open := strings.Index(l, "[")
-		end := strings.Index(l, "]")
-		if open < 0 || end < open || !strings.HasSuffix(strings.TrimSpace(l[:open]), ":") {
-			continue
-		}
-		name := l[open+1 : end]
-		loc := strings.TrimSuffix(strings.TrimSpace(l[:open]), ":")
-		msg := strings.TrimSpace(l[end+1:])
-		key := loc + name + msg // vet analyzes test variants too; dedup
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if _, ok := byName[name]; !ok {
-			names = append(names, name)
-		}
-		byName[name] = append(byName[name], line{loc, name, msg})
-	}
-	sort.Strings(names)
-	total := 0
-	for _, name := range names {
-		group := byName[name]
-		total += len(group)
-		fmt.Fprintf(w, "-- %s: %d finding(s)\n", name, len(group))
-		for _, l := range group {
-			fmt.Fprintf(w, "   %s: %s\n", l.loc, l.msg)
-		}
-	}
-	if total > 0 {
-		fmt.Fprintf(w, "unionlint: %d finding(s) across %d analyzer(s)\n", total, len(names))
 	}
 	return nil
 }

@@ -1,17 +1,11 @@
 // Package driver loads type-checked packages and runs unionlint
-// analyzers over them. It offers two front ends over one core:
-//
-//   - RunVetUnit implements the `go vet -vettool` protocol: the go
-//     command hands us one package at a time as a JSON config naming
-//     source files and the compiler-produced export data of every
-//     dependency.
-//   - RunStandalone loads packages itself via `go list -deps -export`
-//     and analyzes every package of the enclosing module, with
-//     optional application of suggested fixes.
-//
-// Both reuse the compiler's export data for imports (no source
-// re-typechecking of dependencies), which keeps a full-repo run well
-// under a second after the build cache is warm.
+// analyzers over them. Analyze is the one walk: it lists the module's
+// packages and their test compilations with `go list -test -deps
+// -export`, type-checks each from source against the compiler's export
+// data for its imports (no source re-typechecking of dependencies),
+// and runs the analyzers in dependency order over one in-memory fact
+// store. A full-repo run stays around a second once the build cache is
+// warm.
 package driver
 
 import (
@@ -24,7 +18,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strings"
 )
 
 // ExportLookup resolves an import path to a reader of gc export data.
@@ -37,9 +30,13 @@ type Package struct {
 	Pkg   *types.Package
 	Info  *types.Info
 	// Deps lists the transitive import paths of the package (from
-	// `go list -deps`), used to scope fact visibility in the
-	// standalone driver. Nil when the loader does not know.
+	// `go list -deps`, test-variant suffixes stripped), used to scope
+	// fact visibility.
 	Deps []string
+	// ForTest names the package under test when this is one of its
+	// test compilations ("p [p.test]" or "p_test [p.test]"); empty
+	// otherwise.
+	ForTest string
 }
 
 // ParseFiles parses the named Go files into fset, keeping comments
@@ -57,15 +54,15 @@ func ParseFiles(fset *token.FileSet, filenames []string) ([]*ast.File, error) {
 }
 
 // TypeCheck type-checks files as package path, resolving imports
-// through lookup. goVersion may be empty.
-func TypeCheck(fset *token.FileSet, path string, files []*ast.File, lookup ExportLookup, goVersion string) (*Package, error) {
+// through lookup.
+func TypeCheck(fset *token.FileSet, path string, files []*ast.File, lookup ExportLookup) (*Package, error) {
 	imp := unsafeAware{importer.ForCompiler(fset, "gc", importer.Lookup(lookup))}
-	return TypeCheckImporter(fset, path, files, imp, goVersion)
+	return TypeCheckImporter(fset, path, files, imp)
 }
 
 // TypeCheckImporter is TypeCheck with a caller-supplied types.Importer,
-// for front ends (analysistest) that resolve some imports from source.
-func TypeCheckImporter(fset *token.FileSet, path string, files []*ast.File, imp types.Importer, goVersion string) (*Package, error) {
+// for loaders (analysistest) that resolve some imports from source.
+func TypeCheckImporter(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -78,11 +75,6 @@ func TypeCheckImporter(fset *token.FileSet, path string, files []*ast.File, imp 
 		Importer: imp,
 		Sizes:    types.SizesFor("gc", runtime.GOARCH),
 	}
-	if goVersion != "" && !strings.HasPrefix(goVersion, "go1.") && goVersion != "go1" {
-		// go/types wants "go1.N"; ignore anything else (e.g. devel).
-		goVersion = ""
-	}
-	cfg.GoVersion = goVersion
 	pkg, err := cfg.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", path, err)
@@ -102,8 +94,8 @@ func (i unsafeAware) Import(path string) (*types.Package, error) {
 }
 
 // FileLookup builds an ExportLookup over an importPath→exportFile map,
-// with an optional importMap applied first (vet configs use it for
-// vendoring and test-variant remapping).
+// with an optional importMap applied first (go list uses it to point a
+// test compilation's imports at their test variants).
 func FileLookup(importMap, packageFile map[string]string) ExportLookup {
 	return func(path string) (io.ReadCloser, error) {
 		if canon, ok := importMap[path]; ok && canon != "" {

@@ -15,11 +15,10 @@ import (
 // aggregator internal/sketch/kinds sees every such fact and can reject
 // a duplicate tag without ever loading two kind packages at once.
 //
-// Facts must be pointers to gob-serializable structs (drivers move
-// them between compilation units as gob streams, mirroring the go
-// vet facts protocol), must not contain token.Pos values (positions
-// do not survive re-loading), and must be declared in the analyzer's
-// FactTypes so drivers can register their concrete types for decoding.
+// Facts must be pointers to structs, must not contain token.Pos values
+// (each package is loaded into its own FileSet, so a position means
+// nothing to an importer), and are declared in the analyzer's
+// FactTypes.
 type Fact interface {
 	// AFact is a marker method; it has no behavior.
 	AFact()

@@ -142,33 +142,19 @@ func (c *Client) PushNamed(stream string, envelope []byte) (attempts int, err er
 }
 
 func (c *Client) pushFrame(t wire.MsgType, payload []byte) (int, error) {
-	var lastErr error
-	for attempt := 1; attempt <= c.cfg.Attempts; attempt++ {
-		if attempt > 1 {
-			time.Sleep(c.backoff(attempt - 1))
+	return c.retried("push", func(conn net.Conn) error {
+		if err := c.writeFrame(conn, t, payload); err != nil {
+			return err
 		}
-		err := c.roundTrip(func(conn net.Conn) error {
-			if err := c.writeFrame(conn, t, payload); err != nil {
-				return err
-			}
-			return c.readAck(conn)
-		})
-		if err == nil {
-			return attempt, nil
-		}
-		if permanent(err) {
-			return attempt, err
-		}
-		lastErr = err
-	}
-	return c.cfg.Attempts, fmt.Errorf("client: push failed after %d attempts: %w", c.cfg.Attempts, lastErr)
+		return c.readAck(conn)
+	})
 }
 
 // Query asks the coordinator for one estimate, retrying transient
 // failures (queries are read-only, so retries are safe).
 func (c *Client) Query(q wire.Query) (float64, error) {
 	var est float64
-	err := c.retried(func(conn net.Conn) error {
+	_, err := c.retried("query", func(conn net.Conn) error {
 		if err := c.writeFrame(conn, wire.MsgQuery, q.Encode()); err != nil {
 			return err
 		}
@@ -199,7 +185,7 @@ func (c *Client) QueryExpr(eq wire.ExprQuery) (*wire.ExprResult, error) {
 		return nil, fmt.Errorf("%w: %w", ErrRejected, err)
 	}
 	var res *wire.ExprResult
-	err = c.retried(func(conn net.Conn) error {
+	_, err = c.retried("expression query", func(conn net.Conn) error {
 		if err := c.writeFrame(conn, wire.MsgQueryExpr, payload); err != nil {
 			return err
 		}
@@ -236,7 +222,7 @@ func (c *Client) SumDistinct(seed uint64) (float64, error) {
 // is decoded into out (pass a *server.Stats or any compatible
 // struct/map); pass nil to only check reachability.
 func (c *Client) Stats(out any) error {
-	return c.retried(func(conn net.Conn) error {
+	_, err := c.retried("stats", func(conn net.Conn) error {
 		if err := c.writeFrame(conn, wire.MsgStats, nil); err != nil {
 			return err
 		}
@@ -256,10 +242,13 @@ func (c *Client) Stats(out any) error {
 			return fmt.Errorf("%w: unexpected %s reply to stats", ErrRejected, typ)
 		}
 	})
+	return err
 }
 
-// retried runs op through the dial/backoff loop.
-func (c *Client) retried(op func(net.Conn) error) error {
+// retried runs op through the dial/backoff loop, stopping early on a
+// permanent error, and returns the number of attempts made. what
+// names the operation in the exhaustion error.
+func (c *Client) retried(what string, op func(net.Conn) error) (attempts int, err error) {
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.Attempts; attempt++ {
 		if attempt > 1 {
@@ -267,14 +256,14 @@ func (c *Client) retried(op func(net.Conn) error) error {
 		}
 		err := c.roundTrip(op)
 		if err == nil {
-			return nil
+			return attempt, nil
 		}
 		if permanent(err) {
-			return err
+			return attempt, err
 		}
 		lastErr = err
 	}
-	return fmt.Errorf("client: failed after %d attempts: %w", c.cfg.Attempts, lastErr)
+	return c.cfg.Attempts, fmt.Errorf("client: %s failed after %d attempts: %w", what, c.cfg.Attempts, lastErr)
 }
 
 // roundTrip dials, applies the per-operation deadline, and runs op.

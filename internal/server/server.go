@@ -183,7 +183,7 @@ func New(cfg Config) *Server {
 		s.relay = newRelayState(*cfg.Relay)
 	}
 	if cfg.WAL != nil {
-		s.wal = &walState{cfg: *cfg.WAL}
+		s.wal = &walState{cfg: *cfg.WAL, round: make(chan struct{}, 1)}
 	}
 	return s
 }

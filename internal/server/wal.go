@@ -61,11 +61,10 @@ type walState struct {
 	// where idempotent joins absorb the overlap.
 	seal sync.RWMutex // guards:
 
-	mu sync.Mutex // guards: snapshotting
-	// snapshotting serializes snapshot rounds, like the relay's
-	// round slot: the timer, explicit SnapshotWAL calls, and the
+	// round is a one-slot semaphore that serializes snapshot rounds,
+	// like the relay's: the timer, explicit SnapshotWAL calls, and the
 	// shutdown snapshot must not interleave.
-	snapshotting bool
+	round chan struct{}
 
 	// recoverOnce runs Open+Replay exactly once, before the first
 	// append; log, recErr, and replay are written inside it and read
@@ -180,19 +179,13 @@ func (s *Server) SnapshotWAL() (groups int, err error) {
 	if err := s.ensureRecovered(); err != nil {
 		return 0, err
 	}
-	w.mu.Lock()
-	if w.snapshotting {
-		w.mu.Unlock()
+	select {
+	case w.round <- struct{}{}:
+	default:
 		w.snapSkips.Add(1)
 		return 0, nil
 	}
-	w.snapshotting = true
-	w.mu.Unlock()
-	defer func() {
-		w.mu.Lock()
-		w.snapshotting = false
-		w.mu.Unlock()
-	}()
+	defer func() { <-w.round }()
 	return s.snapshotGroupsToWAL()
 }
 

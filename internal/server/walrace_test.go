@@ -2,12 +2,12 @@ package server_test
 
 // Regression suite for the durability layer's worst interleaving:
 // snapshot rounds (timer-driven, explicit, and one injected mid-drain)
-// racing concurrent site pushes and Shutdown. The snapshotting flag in
-// walState serializes rounds, absorb holds only the seal read-lock
-// across append+merge, and Shutdown's final snapshot must capture
-// every acked envelope — so the whole dance has to finish without
-// deadlock and leave the rebooted coordinator bit-identical to a
-// direct-absorb control. Run under -race (ci.sh always does).
+// racing concurrent site pushes and Shutdown. The one-slot round
+// channel in walState serializes rounds, absorb holds only the seal
+// read-lock across append+merge, and Shutdown's final snapshot must
+// capture every acked envelope — so the whole dance has to finish
+// without deadlock and leave the rebooted coordinator bit-identical to
+// a direct-absorb control. Run under -race (ci.sh always does).
 
 import (
 	"context"
@@ -24,8 +24,8 @@ import (
 // SnapshotWAL hammer against a durable coordinator whose snapshot
 // timer actually fires, then shuts it down while the ServerDrain
 // failpoint injects one more snapshot in the middle of the drain —
-// the exact "snapshot fires mid-shutdown" schedule the snapshotting
-// flag exists for.
+// the exact "snapshot fires mid-shutdown" schedule the round slot
+// exists for.
 func TestWALRacesShutdownDrain(t *testing.T) {
 	envs := relayEnvelopes(t, 24)
 	dir := t.TempDir()

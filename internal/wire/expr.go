@@ -306,8 +306,8 @@ type ExprQuery struct {
 	Expr *QueryExpr
 }
 
-// Encode serializes the query: flags, seed, kind (canonical zero when
-// absent), then the expression preorder.
+// Encode serializes the query: flags, seed and kind (each canonical
+// zero when absent), then the expression preorder.
 func (q ExprQuery) Encode() ([]byte, error) {
 	if err := q.Expr.Validate(); err != nil {
 		return nil, err
@@ -321,7 +321,11 @@ func (q ExprQuery) Encode() ([]byte, error) {
 		flags |= exprFlagKind
 	}
 	b = append(b, flags)
-	b = binary.LittleEndian.AppendUint64(b, q.Seed)
+	var seed uint64
+	if q.HasSeed {
+		seed = q.Seed
+	}
+	b = binary.LittleEndian.AppendUint64(b, seed)
 	var kind byte
 	if q.HasKind {
 		kind = q.SketchKind

@@ -61,8 +61,8 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		case MsgQuery:
 			if q, err := DecodeQuery(payload); err == nil {
-				if q.Encode() == nil {
-					t.Fatal("query re-encode nil")
+				if !bytes.Equal(q.Encode(), payload) {
+					t.Fatal("query does not round-trip")
 				}
 				_, _ = q.Predicate()
 			}

@@ -479,7 +479,8 @@ type Query struct {
 	A, B uint64
 }
 
-// Encode serializes the query to its fixed-length wire form.
+// Encode serializes the query to its fixed-length wire form; an
+// absent seed or kind is written as zero.
 func (q Query) Encode() []byte {
 	b := make([]byte, 0, queryEncodedLen)
 	b = append(b, byte(q.Kind))
@@ -491,7 +492,11 @@ func (q Query) Encode() []byte {
 		flags |= queryFlagKind
 	}
 	b = append(b, flags)
-	b = binary.LittleEndian.AppendUint64(b, q.Seed)
+	var seed uint64
+	if q.HasSeed {
+		seed = q.Seed
+	}
+	b = binary.LittleEndian.AppendUint64(b, seed)
 	var kind byte
 	if q.HasKind {
 		kind = q.SketchKind
@@ -524,8 +529,11 @@ func DecodeQuery(b []byte) (Query, error) {
 	if b[1]&^(queryFlagSeed|queryFlagKind) != 0 {
 		return Query{}, fmt.Errorf("%w: unknown query flags %#x", ErrFrame, b[1])
 	}
+	// The encoding is canonical: an absent field must be zero.
+	if !q.HasSeed && q.Seed != 0 {
+		return Query{}, fmt.Errorf("%w: seed %d without the seed flag", ErrFrame, q.Seed)
+	}
 	if !q.HasKind && q.SketchKind != 0 {
-		// The encoding is canonical: an absent field must be zero.
 		return Query{}, fmt.Errorf("%w: sketch kind %d without the kind flag", ErrFrame, b[10])
 	}
 	if q.Pred >= numPredKinds {

@@ -233,14 +233,28 @@ func TestQueryRoundTrip(t *testing.T) {
 		{Kind: QuerySum, HasSeed: true, Seed: 42},
 		{Kind: QueryCountWhere, HasSeed: true, Seed: 7, Pred: PredMod, A: 10, B: 3},
 		{Kind: QuerySumWhere, Pred: PredRange, A: 100, B: 5000},
+		// Absent filters encode as canonical zeros.
+		{Kind: QueryDistinct, Seed: 5},
+		{Kind: QueryDistinct, SketchKind: 3},
 	}
 	for _, q := range queries {
-		got, err := DecodeQuery(q.Encode())
+		enc := q.Encode()
+		got, err := DecodeQuery(enc)
 		if err != nil {
 			t.Fatalf("%+v: %v", q, err)
 		}
-		if got != q {
-			t.Errorf("round trip: got %+v want %+v", got, q)
+		want := q
+		if !want.HasSeed {
+			want.Seed = 0
+		}
+		if !want.HasKind {
+			want.SketchKind = 0
+		}
+		if got != want {
+			t.Errorf("round trip: got %+v want %+v", got, want)
+		}
+		if re := got.Encode(); !bytes.Equal(re, enc) {
+			t.Errorf("%+v: re-encode differs", q)
 		}
 	}
 }
@@ -265,6 +279,11 @@ func TestQueryRejections(t *testing.T) {
 	mut[1] = 0x80
 	if _, err := DecodeQuery(mut); err == nil {
 		t.Error("unknown flag accepted")
+	}
+	mut = Query{Kind: QueryDistinct}.Encode()
+	mut[2] = 5
+	if _, err := DecodeQuery(mut); err == nil {
+		t.Error("seed without the seed flag accepted")
 	}
 	mut = Query{Kind: QueryDistinct}.Encode()
 	mut[10] = byte(numPredKinds)
