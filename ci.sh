@@ -35,16 +35,20 @@ echo "== unionlint self-test (golden suites) =="
 go test -count=1 ./internal/analysis/...
 
 echo "== unionlint (lint/report.jsonl) =="
-UNIONLINT="$(go env GOPATH)/bin/unionlint"
+# The linter binary and the regenerated artifacts live in a scratch
+# directory removed on exit, so CI never replaces a unionlint the
+# developer installed.
+CI_TMP="$(mktemp -d)"
+trap 'rm -rf "$CI_TMP"' EXIT
+UNIONLINT="$CI_TMP/unionlint"
+REPORT_TMP="$CI_TMP/report.jsonl"
+ALLOCFLOW_TMP="$CI_TMP/allocflow.baseline"
 go build -o "$UNIONLINT" ./cmd/unionlint
 # One run over every package and its test compilations. It gates on
 # findings (-json exits 1 and prints the grouped per-analyzer summary
 # on stderr), and its machine-readable findings are tracked as a trend
 # artifact: a clean tree commits an empty lint/report.jsonl, and the
 # regeneration must match it byte for byte.
-REPORT_TMP="$(mktemp)"
-ALLOCFLOW_TMP="$(mktemp)"
-trap 'rm -f "$REPORT_TMP" "$ALLOCFLOW_TMP"' EXIT
 if ! "$UNIONLINT" -json ./... >"$REPORT_TMP"; then
     echo "ci.sh: unionlint found violations (fix them, annotate" \
          "'unionlint:allow <analyzer> <reason>', or run" \
@@ -173,8 +177,10 @@ go test -run='^$' -fuzz='^FuzzWireDecode$' -fuzztime=10s ./internal/wire
 echo "== fuzz smoke: FuzzSamplerUnmarshal (10s) =="
 # The gt sample decoder builds the sorted in-memory sample straight
 # from the wire (strictly increasing labels, every level re-verified):
-# no bytes may panic it, and every accepted input must re-encode,
-# size, clone and merge consistently.
+# no bytes may panic it, every accepted input must re-encode, size,
+# clone and merge consistently, and a decode into a used sampler (an
+# absorb slot's scratch) and the old one-pass decoder must accept and
+# refuse the same bytes and decode the same state.
 go test -run='^$' -fuzz='^FuzzSamplerUnmarshal$' -fuzztime=10s ./internal/core
 
 echo "== fuzz smoke: FuzzClientReadFrame (10s) =="
@@ -184,8 +190,9 @@ go test -run='^$' -fuzz='^FuzzClientReadFrame$' -fuzztime=10s ./internal/client
 
 echo "== fuzz smoke: FuzzSketchOpen (10s) =="
 # And for the registry envelope opener, which fronts every decoder in
-# the sketch registry: no input may panic it, and every accepted input
-# must re-encode to an identical envelope header.
+# the sketch registry: no input may panic it, every accepted input
+# must re-encode to an identical envelope header, and a used Scratch
+# and the kmv, hll and fm kinds' old decoders must agree with it.
 go test -run='^$' -fuzz='^FuzzSketchOpen$' -fuzztime=10s ./internal/sketch
 
 echo "== fuzz smoke: FuzzWALReplay (10s) =="

@@ -13,8 +13,10 @@
 // the mechanical suggested fixes (errcontract's %w rewrites); -json
 // emits one JSON object per diagnostic on stdout, with the grouped
 // summary on stderr when there are findings (what ci.sh gates on and
-// diffs against lint/report.jsonl); -allocflow.update regenerates the
-// allocation-budget baseline (lint/allocflow.baseline).
+// diffs against lint/report.jsonl); -allocflow.update runs allocflow
+// alone to regenerate the allocation-budget baseline
+// (lint/allocflow.baseline), without the test compilations, whose
+// _test.go files allocflow skips.
 package main
 
 import (
@@ -22,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
@@ -72,10 +75,14 @@ func run(argv []string) int {
 	}
 	if *update {
 		// -allocflow.update is the documented way to regenerate the
-		// baseline; it simply arms the analyzer's write flag.
+		// baseline: it arms the analyzer's write flag and runs
+		// allocflow alone, the only analyzer the baseline needs. As
+		// allocflow skips _test.go files, that run leaves the test
+		// compilations out.
 		if w := lookupFlag(analyzers, "allocflow", "write"); w != nil {
 			w.Value = "1"
 		}
+		analyzers = slices.DeleteFunc(analyzers, func(a *analysis.Analyzer) bool { return a.Name != "allocflow" })
 	}
 	if err := prepareBaselineWrite(analyzers); err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)

@@ -8,14 +8,18 @@ import "regexp"
 // likewise the small sketch-interface accessors (Kind, Digest, Seed,
 // Estimate). Merge and ProcessWeighted dispatches are licensed at
 // zero because every Path that crosses one also lists the concrete
-// callee in Roots. The registry Decode closure builds a fresh sketch —
-// maps, slices, the sketch struct itself — so it carries a fixed
-// allowance sized for the small configurations the runtime gates use.
+// callee in Roots. The Clone dispatch is licensed at zero because it
+// runs once per merge group (a new group takes a clone of the decoded
+// sketch), not once per absorb. The registry Decode closure builds a
+// fresh sketch — maps, slices, the sketch struct itself — so it
+// carries a fixed allowance sized for the small configurations the
+// runtime gates use.
 var (
 	seamHash      = Seam{Match: regexp.MustCompile(`\(repro/internal/hashing\.Family\)\.Hash`), Extra: 0}
 	seamAccessors = Seam{Match: regexp.MustCompile(`\(repro/internal/sketch\.Sketch\)\.(Kind|Digest|Seed|Estimate)$`), Extra: 0}
 	seamMarshal   = Seam{Match: regexp.MustCompile(`\(repro/internal/sketch\.Sketch\)\.MarshalBinary`), Extra: 0}
 	seamMerge     = Seam{Match: regexp.MustCompile(`\(repro/internal/sketch\.Sketch\)\.Merge`), Extra: 0}
+	seamClone     = Seam{Match: regexp.MustCompile(`\(repro/internal/sketch\.Sketch\)\.Clone`), Extra: 0}
 	seamWeighted  = Seam{Match: regexp.MustCompile(`\(repro/internal/sketch\.Weighted\)\.ProcessWeighted`), Extra: 0}
 	seamErrError  = Seam{Match: regexp.MustCompile(`\(error\)\.Error`), Extra: 0}
 
@@ -33,12 +37,22 @@ const DecodeExtra = 160
 // (map + entry slab + free list) per level, O(MaxLevel) of everything.
 var decodeExtra = map[string]int{"window": 768}
 
+// scratchDecodeExtra is the malloc allowance for one registry Decode
+// into a sketch.Scratch, for the kinds whose Decode reuses the
+// scratch's sketch: once its buffers have grown to the configuration
+// (the gates warm them), a decode allocates nothing.
+var scratchDecodeExtra = map[string]int{"gt": 0, "fm": 0, "hll": 0, "kmv": 0}
+
 // decodeSeam licenses kind's registry Decode closure invocation: a
 // fresh small sketch (struct, hash family state, one map or slice per
-// component, plus map buckets for gate-sized payloads).
-func decodeSeam(kind string) Seam {
+// component, plus map buckets for gate-sized payloads), or, with
+// scratch set, a decode into a warm sketch.Scratch.
+func decodeSeam(kind string, scratch bool) Seam {
 	extra := DecodeExtra
 	if e, ok := decodeExtra[kind]; ok {
+		extra = e
+	}
+	if e, ok := scratchDecodeExtra[kind]; ok && scratch {
 		extra = e
 	}
 	return Seam{Match: decodeCall, Extra: extra}
@@ -97,14 +111,15 @@ func DecodePath(kind string) (Path, bool) {
 	}
 	return Path{
 		Roots: []string{"repro/internal/sketch.Open"},
-		Seams: []Seam{decodeSeam(kind), seamAccessors},
+		Seams: []Seam{decodeSeam(kind, false), seamAccessors},
 	}, true
 }
 
 // AbsorbPath is the coordinator's whole absorb path for kind: open
-// the envelope, validate, fold into the group — plus the concrete
-// Merge the group fold dispatches into. The WAL branch is part of
-// absorbSketch's summary, so a WAL-armed absorb is covered too.
+// the envelope into the absorb slot's scratch, validate, fold into
+// the group — plus the concrete Merge the group fold dispatches into.
+// The WAL branch is part of absorbSketch's summary, so a WAL-armed
+// absorb is covered too.
 func AbsorbPath(kind string) (Path, bool) {
 	typ, ok := kindType[kind]
 	if !ok {
@@ -112,7 +127,7 @@ func AbsorbPath(kind string) (Path, bool) {
 	}
 	return Path{
 		Roots: []string{"repro/internal/server.Server.absorbSketch", typ + ".Merge"},
-		Seams: []Seam{decodeSeam(kind), seamAccessors, seamMarshal, seamMerge, seamWeighted, seamHash, seamErrError},
+		Seams: []Seam{decodeSeam(kind, true), seamAccessors, seamMarshal, seamMerge, seamClone, seamWeighted, seamHash, seamErrError},
 	}, true
 }
 

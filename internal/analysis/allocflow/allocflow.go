@@ -33,7 +33,9 @@
 // `amortized` marks a reviewed growth site on its line (or the line
 // below): the site stays in the summary — runtime ceilings still count
 // it — but it is never reported and never baselined, because its
-// steady-state cost is zero (slice doubling, one-time lazy init).
+// steady-state cost is zero (slice doubling, one-time lazy init). On a
+// call, it marks every site the call inherits from its callee the same
+// way (a lazy init that calls a constructor).
 // `cold` prunes the statement it covers entirely: the branch is
 // unreachable on the hot path (error returns, rotation, chaos hooks).
 //
@@ -84,7 +86,9 @@ var Analyzer = &analysis.Analyzer{
 	Doc:       "interprocedural allocation-flow facts; budget `// hotpath:` roots' transitive allocations (baseline-gated)",
 	Flags:     []*analysis.Flag{baselineFlag, writeFlag},
 	FactTypes: []analysis.Fact{(*AllocSummary)(nil)},
-	Run:       run,
+	// _test.go files are skipped.
+	SkipsTestFiles: true,
+	Run:            run,
 }
 
 // KindCallsUnknown is the baseline bucket kind for dynamic calls the
@@ -193,9 +197,10 @@ type siteEvent struct {
 // callEvent is one statically-resolved call to a function that may
 // have a summary.
 type callEvent struct {
-	pos    token.Pos
-	fn     *types.Func
-	looped bool
+	pos       token.Pos
+	fn        *types.Func
+	looped    bool
+	amortized bool // every site inherited through the call is amortized
 }
 
 // dynEvent is one call the analyzer cannot see through.
@@ -498,7 +503,7 @@ func (st *state) visitCall(rec *funcRec, call *ast.CallExpr, looped bool) {
 			fmt.Sprintf("calls %s.%s (allocating stdlib)", pkgPath, fn.Name()), looped)
 		return
 	}
-	rec.calls = append(rec.calls, callEvent{pos: call.Pos(), fn: fn, looped: looped})
+	rec.calls = append(rec.calls, callEvent{pos: call.Pos(), fn: fn, looped: looped, amortized: st.amortizedAt(call.Pos())})
 }
 
 // classifyConversion records conversions that copy memory: string ↔
@@ -667,7 +672,7 @@ func (st *state) resolve(rec *funcRec) *resolved {
 			continue // allocation-free callee
 		}
 		for _, s := range sub.Sites {
-			res.addSite(bucketKey{s.Owner, s.Kind, s.Amortized},
+			res.addSite(bucketKey{s.Owner, s.Kind, s.Amortized || ev.amortized},
 				s.Count, s.Looped || ev.looped, ev.pos, extendVia(ev.fn, s.Via))
 		}
 		for _, d := range sub.Unknown {

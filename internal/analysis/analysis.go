@@ -47,6 +47,11 @@ type Analyzer struct {
 	// driver does not read it; it documents the analyzer's facts and
 	// keeps the migration mechanical. Nil means no facts.
 	FactTypes []Fact
+	// SkipsTestFiles reports that the analyzer reads nothing in
+	// _test.go files: it reports no finding and exports no fact from
+	// them. A run whose analyzers all skip test files leaves the test
+	// compilations out.
+	SkipsTestFiles bool
 	// Run performs the check on one package.
 	Run func(*Pass) error
 }

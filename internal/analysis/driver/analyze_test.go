@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
+	"repro/internal/analysis/allocflow"
 	"repro/internal/analysis/driver"
 	"repro/internal/analysis/registry"
 )
@@ -184,6 +186,66 @@ func TestInject(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAnalyzeSkipsTestCompilations checks that a run whose analyzers
+// all skip _test.go files (allocflow alone, as in allocbudget.Load and
+// unionlint -allocflow.update) loads no test compilation and reports
+// what the full walk reports for it.
+func TestAnalyzeSkipsTestCompilations(t *testing.T) {
+	dir := t.TempDir()
+	writeTree(t, dir, map[string]string{
+		"go.mod": "module tmod\n\ngo 1.22\n",
+		"hot/hot.go": `// Package hot has an allocating hotpath root.
+package hot
+
+// Sketch is a miniature sampler.
+type Sketch struct{ buf []uint64 }
+
+// Process observes one item.
+//
+// hotpath: called once per stream item.
+func (s *Sketch) Process(v uint64) {
+	s.buf = append(s.buf, v)
+}
+`,
+		"hot/hot_test.go": `package hot
+
+import "testing"
+
+func TestProcess(t *testing.T) { new(Sketch).Process(1) }
+`,
+		"hot/ext_test.go": `package hot_test
+
+import (
+	"testing"
+
+	"tmod/hot"
+)
+
+func TestExternal(t *testing.T) { new(hot.Sketch).Process(1) }
+`,
+	})
+	only, err := driver.Analyze(dir, []*analysis.Analyzer{allocflow.Analyzer}, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := driver.Analyze(dir, registry.Analyzers(), "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if only.Packages != 1 || full.Packages != 3 {
+		t.Errorf("allocflow alone analyzed %d packages, the full suite %d; want 1 (no test compilations) and 3", only.Packages, full.Packages)
+	}
+	var fromFull []driver.Finding
+	for _, f := range full.Findings {
+		if f.Analyzer == allocflow.Analyzer.Name {
+			fromFull = append(fromFull, f)
+		}
+	}
+	if len(only.Findings) != 1 || len(fromFull) != 1 || only.Findings[0].Pos != fromFull[0].Pos || only.Findings[0].Diag.Message != fromFull[0].Diag.Message {
+		t.Errorf("allocflow alone reported %v, the full suite %v; want the same one finding", only.Findings, fromFull)
 	}
 }
 

@@ -91,13 +91,16 @@ func ExportMap(pkgs []*listedPackage) map[string]string {
 // importer always has a strictly larger dependency closure than each
 // of its imports. Test variants follow, grouped per package under
 // test, the internal variant before the external package that imports
-// it.
-func loadModulePackages(dir string, patterns ...string) ([]*Package, error) {
+// it. With tests false the test compilations are left out.
+func loadModulePackages(dir string, tests bool, patterns ...string) ([]*Package, error) {
 	modRoot, modPath, err := FindModule(dir)
 	if err != nil {
 		return nil, err
 	}
-	listed, err := GoList(modRoot, append([]string{"-test"}, patterns...)...)
+	if tests {
+		patterns = append([]string{"-test"}, patterns...)
+	}
+	listed, err := GoList(modRoot, patterns...)
 	if err != nil {
 		return nil, err
 	}

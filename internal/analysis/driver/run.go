@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/analysis"
@@ -37,9 +38,11 @@ type Result struct {
 // (the external test package sees what the internal variant
 // exported), so facts about _test.go files never reach another
 // package. A package and its internal test variant share the non-test
-// files; a finding there is kept once.
+// files; a finding there is kept once. When every analyzer skips test
+// files, the test compilations are not loaded at all.
 func Analyze(dir string, analyzers []*analysis.Analyzer, patterns ...string) (*Result, error) {
-	pkgs, err := loadModulePackages(dir, patterns...)
+	tests := slices.ContainsFunc(analyzers, func(a *analysis.Analyzer) bool { return !a.SkipsTestFiles })
+	pkgs, err := loadModulePackages(dir, tests, patterns...)
 	if err != nil {
 		return nil, err
 	}

@@ -201,6 +201,20 @@ func (e *Estimator) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary decodes an estimator encoded by MarshalBinary.
 func (e *Estimator) UnmarshalBinary(data []byte) error {
+	var tmp Estimator
+	if err := tmp.decode(data); err != nil {
+		return err
+	}
+	*e = tmp
+	return nil
+}
+
+// decode is UnmarshalBinary into e's own buffers: e's copies, and
+// each copy's sample, are reused (see Sampler.decode), so decoding one
+// configuration over and over allocates nothing. It validates the
+// whole encoding before it returns nil. On error e is left in an
+// unspecified state.
+func (e *Estimator) decode(data []byte) error {
 	if len(data) < 12 || data[0] != wireMagic0 || data[1] != wireMagic1 {
 		return fmt.Errorf("%w: bad estimator header", ErrCorrupt)
 	}
@@ -216,8 +230,18 @@ func (e *Estimator) UnmarshalBinary(data []byte) error {
 	if n == 0 || n > 1<<16 {
 		return fmt.Errorf("%w: implausible copy count %d", ErrCorrupt, n)
 	}
-	copies := make([]*Sampler, n)
-	for i := range copies {
+	// Every copy takes at least its length byte, so a copy count
+	// beyond the remaining payload is forged.
+	if n > uint64(len(d.buf)) {
+		return fmt.Errorf("%w: copy count %d exceeds payload", ErrCorrupt, n)
+	}
+	// The copies past len(e.copies) are kept from earlier decodes.
+	copies := e.copies[:cap(e.copies)]
+	if len(copies) < int(n) {
+		copies = append(copies, make([]*Sampler, int(n)-len(copies))...)
+	}
+	e.copies = copies[:n]
+	for i, s := range e.copies {
 		sz, err := d.uvarint("copy length")
 		if err != nil {
 			return err
@@ -225,32 +249,30 @@ func (e *Estimator) UnmarshalBinary(data []byte) error {
 		if uint64(len(d.buf)) < sz {
 			return fmt.Errorf("%w: truncated copy %d", ErrCorrupt, i)
 		}
-		s, err := DecodeSampler(d.buf[:sz])
-		if err != nil {
+		if s == nil {
+			s = new(Sampler)
+			e.copies[i] = s
+		}
+		if err := s.decode(d.buf[:sz]); err != nil {
 			return fmt.Errorf("copy %d: %w", i, err)
 		}
-		copies[i] = s
 		d.buf = d.buf[sz:]
 	}
 	if len(d.buf) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf))
 	}
-	first := copies[0].Config()
-	for i, s := range copies {
-		c := s.Config()
-		if c.Capacity != first.Capacity || c.Family != first.Family {
+	first := e.copies[0].cfg
+	for i, s := range e.copies {
+		if s.cfg.Capacity != first.Capacity || s.cfg.Family != first.Family {
 			return fmt.Errorf("%w: copy %d config diverges", ErrCorrupt, i)
 		}
 	}
-	*e = Estimator{
-		cfg: EstimatorConfig{
-			Capacity: first.Capacity,
-			Copies:   int(n),
-			Seed:     seed,
-			Family:   first.Family,
-			Raise:    first.Raise,
-		},
-		copies: copies,
+	e.cfg = EstimatorConfig{
+		Capacity: first.Capacity,
+		Copies:   int(n),
+		Seed:     seed,
+		Family:   first.Family,
+		Raise:    first.Raise,
 	}
 	return nil
 }

@@ -1,12 +1,19 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/hashing"
+)
 
 // Native fuzz targets for the wire decoders. The seed corpus runs on
 // every `go test`; `go test -fuzz=FuzzSamplerUnmarshal` explores
-// further. The invariant under test: arbitrary bytes either fail to
+// further. The invariants under test: arbitrary bytes either fail to
 // decode or produce a sketch that is fully usable (process, estimate,
-// re-encode, merge with itself).
+// re-encode, merge with itself); and UnmarshalBinary, a decode into a
+// sketch that held other state (what an absorb slot's scratch does),
+// and the reference decoder in refdecode_test.go accept and refuse
+// the same bytes and decode the same state.
 func FuzzSamplerUnmarshal(f *testing.F) {
 	seed := buildSampler(3, 500)
 	enc, err := seed.MarshalBinary()
@@ -17,10 +24,40 @@ func FuzzSamplerUnmarshal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("GT"))
 	f.Add(enc[:len(enc)/2])
+	// 64-bit labels: most label deltas take 8 or 9 varint bytes, the
+	// first label up to 10.
+	wide := NewSampler(Config{Capacity: 32, Seed: 5})
+	for x := uint64(0); x < 2000; x++ {
+		wide.Process(hashing.Mix64(x))
+	}
+	wideEnc, err := wide.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wideEnc)
+	// warm holds another configuration's sample, as an absorb slot's
+	// scratch does when the next push decodes into it.
+	warmEnc, err := buildSampler(9, 2000).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		ref, rerr := refUnmarshalSampler(data)
+		var warm Sampler
+		if err := warm.decode(warmEnc); err != nil {
+			t.Fatalf("warm decode: %v", err)
+		}
+		werr := warm.decode(data)
 		var s Sampler
-		if err := s.UnmarshalBinary(data); err != nil {
+		err := s.UnmarshalBinary(data)
+		if (err == nil) != (rerr == nil) || (werr == nil) != (rerr == nil) {
+			t.Fatalf("UnmarshalBinary err %v, decode into a used sampler err %v, reference decoder err %v", err, werr, rerr)
+		}
+		if err != nil {
 			return
+		}
+		if !sameSampler(&s, ref) || !sameSampler(&warm, ref) {
+			t.Fatalf("decoded state differs from the reference decoder's")
 		}
 		s.Process(42)
 		_ = s.EstimateDistinct()
@@ -57,10 +94,31 @@ func FuzzEstimatorUnmarshal(f *testing.F) {
 	f.Add(enc)
 	f.Add([]byte{})
 	f.Add(enc[:len(enc)-2])
+	warmEst := NewEstimator(EstimatorConfig{Capacity: 64, Copies: 5, Seed: 2, Family: FamilyFourWise})
+	for x := uint64(0); x < 1000; x++ {
+		warmEst.Process(x)
+	}
+	warmEnc, err := warmEst.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		ref, rerr := refUnmarshalEstimator(data)
+		var warm Estimator
+		if err := warm.decode(warmEnc); err != nil {
+			t.Fatalf("warm decode: %v", err)
+		}
+		werr := warm.decode(data)
 		var d Estimator
-		if err := d.UnmarshalBinary(data); err != nil {
+		err := d.UnmarshalBinary(data)
+		if (err == nil) != (rerr == nil) || (werr == nil) != (rerr == nil) {
+			t.Fatalf("UnmarshalBinary err %v, decode into a used estimator err %v, reference decoder err %v", err, werr, rerr)
+		}
+		if err != nil {
 			return
+		}
+		if !sameEstimator(&d, ref) || !sameEstimator(&warm, ref) {
+			t.Fatalf("decoded state differs from the reference decoder's")
 		}
 		d.Process(7)
 		_ = d.EstimateDistinct()

@@ -88,7 +88,20 @@ func uvarintLen(x uint64) int {
 // inconsistent: labels must strictly increase, and every label's
 // recomputed level must be at or above the declared one.
 func (s *Sampler) UnmarshalBinary(data []byte) error {
-	d := decoder{buf: data}
+	var tmp Sampler
+	if err := tmp.decode(data); err != nil {
+		return err
+	}
+	*s = tmp
+	return nil
+}
+
+// decode is UnmarshalBinary into s's own buffers: the sample's backing
+// array is reused when it is large enough, and the hash function when
+// the family and seed are unchanged, so decoding one configuration
+// over and over allocates nothing. On error s is left in an
+// unspecified state.
+func (s *Sampler) decode(data []byte) error {
 	if len(data) < headerLen {
 		return fmt.Errorf("%w: message too short (%d bytes)", ErrCorrupt, len(data))
 	}
@@ -107,7 +120,7 @@ func (s *Sampler) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("%w: unknown raise policy %d", ErrCorrupt, data[4])
 	}
 	seed := binary.LittleEndian.Uint64(data[5:headerLen])
-	d.buf = data[headerLen:]
+	d := decoder{buf: data[headerLen:]}
 
 	capacity, err := d.uvarint("capacity")
 	if err != nil {
@@ -140,18 +153,24 @@ func (s *Sampler) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("%w: count %d exceeds payload", ErrCorrupt, count)
 	}
 
-	tmp := Sampler{
-		cfg:     Config{Capacity: int(capacity), Seed: seed, Family: family, Raise: raise},
-		hash:    family.New(seed),
-		level:   int(level),
-		entries: make([]entry, 0, sampleCap(int(count), int(capacity))),
+	if s.hash == nil || s.cfg.Family != family || s.cfg.Seed != seed {
+		s.hash = family.New(seed)
 	}
-	// The entry loop decodes varints inline: it runs once per label
-	// and is the whole cost of a decode.
+	s.cfg = Config{Capacity: int(capacity), Seed: seed, Family: family, Raise: raise}
+	s.level = int(level)
+	entries := s.entries[:0]
+	if uint64(cap(entries)) < count {
+		entries = make([]entry, 0, sampleCap(int(count), int(capacity)))
+	}
+	// Pass one reads the labels and weights, pass two re-derives and
+	// checks every label's level. Apart from the hash they are the
+	// whole cost of a decode, so the varint reads are inlined for the
+	// common one-byte weight, and pass two calls the pairwise family,
+	// the default, without the interface dispatch.
 	buf := d.buf
-	var label uint64
+	var label, weightSum uint64
 	for i := uint64(0); i < count; i++ {
-		delta, n := binary.Uvarint(buf)
+		delta, n := uvarint(buf)
 		if n <= 0 {
 			return truncated("label")
 		}
@@ -168,23 +187,71 @@ func (s *Sampler) UnmarshalBinary(data []byte) error {
 			}
 			label = next
 		}
-		weight, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return truncated("weight")
+		var weight uint64
+		if len(buf) > 0 && buf[0] < 0x80 {
+			weight, buf = uint64(buf[0]), buf[1:]
+		} else {
+			weight, n = uvarint(buf)
+			if n <= 0 {
+				return truncated("weight")
+			}
+			buf = buf[n:]
 		}
-		buf = buf[n:]
-		lvl := hashing.GeometricLevel(tmp.hash.Hash(label))
-		if lvl < tmp.level {
-			return fmt.Errorf("%w: label %d has level %d below sketch level %d", ErrCorrupt, label, lvl, tmp.level)
-		}
-		tmp.entries = append(tmp.entries, entry{label: label, weight: weight, level: int32(lvl)})
-		tmp.weightSum += weight
+		entries = append(entries, entry{label: label, weight: weight})
+		weightSum += weight
 	}
+	s.entries = entries
 	if len(buf) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf))
 	}
-	*s = tmp
+	if pw, ok := s.hash.(hashing.Pairwise); ok {
+		for i := range entries {
+			entries[i].level = int32(hashing.GeometricLevel(pw.Hash(entries[i].label)))
+		}
+	} else {
+		for i := range entries {
+			entries[i].level = int32(hashing.GeometricLevel(s.hash.Hash(entries[i].label)))
+		}
+	}
+	for _, e := range entries {
+		if int(e.level) < s.level {
+			return fmt.Errorf("%w: label %d has level %d below sketch level %d", ErrCorrupt, e.label, e.level, s.level)
+		}
+	}
+	s.weightSum = weightSum
+	s.pending = s.pending[:0]
+	s.recent = nil
 	return nil
+}
+
+// uvarint is binary.Uvarint, reading a varint of up to 9 bytes with
+// one 8-byte load: the first byte with its high bit clear ends the
+// varint, and three mask-and-shift steps pack the 7-bit groups before
+// it; a ninth byte, when the first eight all continue, supplies the
+// top 7 bits. Ten-byte varints, and buffers shorter than 8 bytes, take
+// binary.Uvarint, so the results (errors included) are
+// binary.Uvarint's on every input.
+func uvarint(buf []byte) (uint64, int) {
+	if len(buf) < 8 {
+		return binary.Uvarint(buf)
+	}
+	w := binary.LittleEndian.Uint64(buf)
+	stop := ^w & 0x8080808080808080
+	n := 9
+	if stop != 0 {
+		w &= stop ^ (stop - 1)
+		n = (bits.TrailingZeros64(stop) + 1) / 8
+	} else if len(buf) == 8 || buf[8] >= 0x80 {
+		return binary.Uvarint(buf)
+	}
+	w &= 0x7f7f7f7f7f7f7f7f
+	w = w&0x007f007f007f007f | w&0x7f007f007f007f00>>1
+	w = w&0x00003fff00003fff | w&0x3fff00003fff0000>>2
+	w = w&0x000000000fffffff | w&0x0fffffff00000000>>4
+	if n == 9 {
+		w |= uint64(buf[8]) << 56
+	}
+	return w, n
 }
 
 // DecodeSampler decodes a sampler from data into a fresh value.

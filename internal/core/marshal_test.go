@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"slices"
 	"testing"
@@ -239,4 +240,56 @@ func TestSizeBytesMatchesEncoding(t *testing.T) {
 			t.Fatalf("trial %d (%d items): estimator SizeBytes = %d, encoding is %d bytes", trial, n, got, len(enc))
 		}
 	}
+}
+
+// TestUvarintMatchesBinary checks the word-at-a-time varint reader
+// against binary.Uvarint on every varint length from 1 to 11 bytes,
+// with and without trailing bytes, for buffers shorter and longer than
+// one word, including the 10-byte overflow cases.
+func TestUvarintMatchesBinary(t *testing.T) {
+	r := hashing.NewXoshiro256(11)
+	check := func(buf []byte) {
+		t.Helper()
+		v, n := uvarint(buf)
+		wv, wn := binary.Uvarint(buf)
+		if v != wv || n != wn {
+			t.Fatalf("uvarint(% x) = (%d, %d), binary.Uvarint = (%d, %d)", buf, v, n, wv, wn)
+		}
+	}
+	for length := 1; length <= 11; length++ {
+		for trail := 0; trail <= 9; trail++ {
+			for trial := 0; trial < 200; trial++ {
+				buf := make([]byte, length+trail)
+				for i := range buf {
+					buf[i] = byte(r.Uint64())
+				}
+				for i := 0; i < length-1; i++ {
+					buf[i] |= 0x80 // continue
+				}
+				buf[length-1] &^= 0x80 // stop
+				if trial%4 == 0 {
+					buf[length-1] = byte(trial / 4 % 3) // 0, 1, 2: the 10th byte's edge
+				}
+				check(buf)
+				check(buf[:length-1]) // truncated
+			}
+		}
+	}
+	for _, x := range []uint64{0, 1, 127, 128, 1<<56 - 1, 1 << 56, 1<<63 - 1, 1 << 63, ^uint64(0)} {
+		buf := binary.AppendUvarint(nil, x)
+		check(buf)
+		check(append(buf, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff))
+	}
+}
+
+// FuzzUvarint drives the same comparison with arbitrary bytes.
+func FuzzUvarint(f *testing.F) {
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x7f})
+	f.Add(binary.AppendUvarint(nil, ^uint64(0)))
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		v, n := uvarint(buf)
+		if wv, wn := binary.Uvarint(buf); v != wv || n != wn {
+			t.Fatalf("uvarint(% x) = (%d, %d), binary.Uvarint = (%d, %d)", buf, v, n, wv, wn)
+		}
+	})
 }

@@ -23,14 +23,21 @@ func init() {
 		New: func(eps float64, seed uint64) sketch.Sketch {
 			return NewEstimator(ConfigForAccuracy(eps, registerDelta, seed))
 		},
-		Decode: func(payload []byte) (sketch.Sketch, error) {
-			var e Estimator
-			if err := e.UnmarshalBinary(payload); err != nil {
-				return nil, err
-			}
-			return &e, nil
-		},
+		Decode: decodeInto,
 	})
+}
+
+// decodeInto is the registry's Decode: it decodes into dst's copies
+// when dst is a *Estimator, and into a fresh estimator otherwise.
+func decodeInto(dst sketch.Sketch, payload []byte) (sketch.Sketch, error) {
+	e, _ := dst.(*Estimator)
+	if e == nil {
+		e = new(Estimator)
+	}
+	if err := e.decode(payload); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // Estimate implements sketch.Sketch: the distinct-count estimate.

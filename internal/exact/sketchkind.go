@@ -23,8 +23,10 @@ func init() {
 		Name:    "exact",
 		Version: 1,
 		// eps and seed are ignored: the exact set is parameter-free.
-		New:    func(float64, uint64) sketch.Sketch { return NewDistinct() },
-		Decode: Decode,
+		New: func(float64, uint64) sketch.Sketch { return NewDistinct() },
+		Decode: func(_ sketch.Sketch, payload []byte) (sketch.Sketch, error) {
+			return Decode(payload)
+		},
 	})
 }
 

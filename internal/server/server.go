@@ -18,10 +18,20 @@
 //
 // Each accepted connection gets a reader goroutine, which absorbs its
 // own pushes (decode + merge) and writes each ack before it reads the
-// next frame, so acks stay in per-connection order. A counting
-// semaphore sized to GOMAXPROCS bounds the absorbs running at once so
-// a burst of sites cannot stampede the merge path; each merge group is
-// guarded by its own mutex. Because coordinated sketches merge
+// next frame, so acks stay in per-connection order. An absorb runs in
+// one of GOMAXPROCS absorb slots, so a burst of sites cannot stampede
+// the merge path; each merge group is guarded by its own mutex. A slot
+// owns a sketch.Scratch, the reusable buffers every push it absorbs is
+// decoded into, so the decode allocates nothing once the buffers have
+// grown, and their memory is bounded by GOMAXPROCS times the largest
+// sketch pushed. The absorb runs in two passes: the first decodes the
+// whole envelope into the slot's scratch and checks every field and
+// every sample level, so a corrupt push is refused before any group
+// state changes; the second merges the scratch into the group. A new
+// group takes a clone of the scratch, never the scratch itself.
+// In-process absorbs (AbsorbNamed) take a slot too; WAL replay decodes
+// into a scratch of its own, since it may run under the slot of the
+// push that triggered it. Because coordinated sketches merge
 // commutatively and associatively, the group state after N concurrent
 // absorbs is bit-identical to absorbing the same messages serially in
 // any order — the server tests assert this byte-for-byte under the
@@ -148,10 +158,11 @@ type group struct {
 type Server struct {
 	cfg  Config
 	quit chan struct{}
-	// absorbSlots is a counting semaphore: a connection reader holds
-	// one slot while it absorbs a push, so at most GOMAXPROCS absorbs
-	// run at once however many sites are connected.
-	absorbSlots chan struct{}
+	// absorbSlots holds GOMAXPROCS decode scratches: an absorb takes
+	// one out for its duration, so at most GOMAXPROCS absorbs run at
+	// once however many sites are connected, and each decodes into
+	// buffers no other absorb touches.
+	absorbSlots chan *sketch.Scratch
 	relay       *relayState // nil unless cfg.Relay is set
 	wal         *walState   // nil unless cfg.WAL is set
 
@@ -175,9 +186,12 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		quit:        make(chan struct{}),
-		absorbSlots: make(chan struct{}, runtime.GOMAXPROCS(0)),
+		absorbSlots: make(chan *sketch.Scratch, runtime.GOMAXPROCS(0)),
 		groups:      make(map[groupKey]*group),
 		conns:       make(map[net.Conn]struct{}),
+	}
+	for range cap(s.absorbSlots) {
+		s.absorbSlots <- new(sketch.Scratch)
 	}
 	if cfg.Relay != nil {
 		s.relay = newRelayState(*cfg.Relay)
@@ -414,14 +428,15 @@ func (s *Server) handleConn(conn net.Conn) {
 					continue
 				}
 			}
+			var sc *sketch.Scratch
 			select {
-			case s.absorbSlots <- struct{}{}:
+			case sc = <-s.absorbSlots:
 			case <-s.quit:
 				s.writeAck(conn, wire.Ack{Code: wire.AckError, Detail: "server shutting down"})
 				return
 			}
-			ack := s.absorbSketch(stream, envelope)
-			<-s.absorbSlots
+			ack := s.absorbSketch(sc, stream, envelope)
+			s.absorbSlots <- sc
 			if ack.Code != wire.AckOK {
 				s.stats.rejected.Add(1)
 			}
@@ -477,25 +492,29 @@ func (s *Server) Absorb(envelope []byte) error {
 }
 
 // AbsorbNamed merges one envelope into the named stream's group, the
-// in-process equivalent of a MsgPushNamed.
+// in-process equivalent of a MsgPushNamed. It waits for an absorb
+// slot like a connection reader does.
 func (s *Server) AbsorbNamed(stream string, envelope []byte) error {
-	if ack := s.absorbSketch(stream, envelope); ack.Code != wire.AckOK {
+	sc := <-s.absorbSlots
+	ack := s.absorbSketch(sc, stream, envelope)
+	s.absorbSlots <- sc
+	if ack.Code != wire.AckOK {
 		return fmt.Errorf("server: absorb refused: %s: %s", ack.Code, ack.Detail)
 	}
 	return nil
 }
 
-// absorbSketch opens a pushed sketch envelope and merges it into its
-// (stream, kind, config digest) group, creating the group on first
-// contact.
+// absorbSketch opens a pushed sketch envelope into the slot's scratch
+// sc and merges it into its (stream, kind, config digest) group,
+// creating the group on first contact.
 //
 // hotpath: called once per pushed envelope (TCP and in-process).
-func (s *Server) absorbSketch(stream string, payload []byte) wire.Ack {
+func (s *Server) absorbSketch(sc *sketch.Scratch, stream string, payload []byte) wire.Ack {
 	if err := wire.ValidStreamName(stream); err != nil {
 		// allocflow:cold a bad stream name refuses the push, it is not streamed
 		return wire.Ack{Code: wire.AckCorrupt, Detail: err.Error()}
 	}
-	sk, err := sketch.Open(payload)
+	sk, err := sc.Open(payload)
 	if err != nil { // allocflow:cold a refused envelope aborts the absorb, it is not streamed
 		if errors.Is(err, sketch.ErrUnknownKind) {
 			return wire.Ack{Code: wire.AckUnsupported, Detail: err.Error()}
@@ -543,7 +562,8 @@ func (s *Server) absorbSketch(stream string, payload []byte) wire.Ack {
 }
 
 // foldIntoGroup merges one opened sketch into its (stream, kind,
-// digest) group, creating the group on first contact. It is the
+// digest) group, creating the group on first contact with a clone of
+// sk: sk is a scratch's, and the next decode reuses it. It is the
 // shared tail of the absorb path and of WAL replay — a replayed
 // record must take exactly the path the original push took, or
 // recovery would not be bit-identical.
@@ -562,7 +582,7 @@ func (s *Server) foldIntoGroup(stream string, sk sketch.Sketch, kindName string,
 	g.mu.Lock()
 	var merr error
 	if g.sk == nil {
-		g.sk = sk
+		g.sk = sk.Clone()
 	} else {
 		merr = g.sk.Merge(sk)
 	}

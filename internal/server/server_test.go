@@ -176,8 +176,9 @@ func TestLoopbackMatchesDistsim(t *testing.T) {
 }
 
 // TestConcurrentAbsorbBitIdentical asserts the merge-group guard: N
-// goroutines absorbing the same messages in random order must leave a
-// group bit-identical to a serial in-order merge.
+// goroutines absorbing the same messages in random order, over TCP or
+// in-process (both decode into the absorb slots' scratches), must
+// leave a group bit-identical to a serial in-order merge.
 func TestConcurrentAbsorbBitIdentical(t *testing.T) {
 	cfg := core.EstimatorConfig{Capacity: 128, Copies: 3, Seed: 5}
 	srcs := overlapSources(16, 9)
@@ -190,9 +191,16 @@ func TestConcurrentAbsorbBitIdentical(t *testing.T) {
 	}
 
 	rng := hashing.NewXoshiro256(11)
-	for trial := 0; trial < 3; trial++ {
+	for trial := 0; trial < 4; trial++ {
 		srv := server.New(server.Config{})
 		addr := startServer(t, srv)
+		push := func(msg []byte) error {
+			_, err := testClient(addr).Push(msg)
+			return err
+		}
+		if trial%2 == 1 {
+			push = srv.Absorb
+		}
 		order := make([]int, len(msgs))
 		for i := range order {
 			order[i] = i
@@ -206,7 +214,7 @@ func TestConcurrentAbsorbBitIdentical(t *testing.T) {
 			wg.Add(1)
 			go func(msg []byte) {
 				defer wg.Done()
-				if _, err := testClient(addr).Push(msg); err != nil {
+				if err := push(msg); err != nil {
 					t.Error(err)
 				}
 			}(msgs[idx])

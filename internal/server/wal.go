@@ -110,8 +110,12 @@ func (s *Server) recoverWAL() error {
 	if err != nil {
 		return fmt.Errorf("server: wal: %w", err)
 	}
+	// Replay decodes into a scratch of its own: recovery may run
+	// inside the first logged push's absorb, which already holds a
+	// slot, and waiting for another could deadlock.
+	var sc sketch.Scratch
 	st, err := log.Replay(func(stream string, envelope []byte) error {
-		sk, oerr := sketch.Open(envelope)
+		sk, oerr := sc.Open(envelope)
 		if oerr != nil {
 			return fmt.Errorf("replaying logged envelope: %w", oerr)
 		}

@@ -21,7 +21,7 @@ func init() {
 			}
 			return New(int(2/eps)+1, seed)
 		},
-		Decode: func(payload []byte) (sketch.Sketch, error) {
+		Decode: func(_ sketch.Sketch, payload []byte) (sketch.Sketch, error) {
 			var s Sketch
 			if err := s.UnmarshalBinary(payload); err != nil {
 				return nil, err

@@ -24,7 +24,7 @@ func init() {
 			}
 			return New(c, seed)
 		},
-		Decode: func(payload []byte) (sketch.Sketch, error) {
+		Decode: func(_ sketch.Sketch, payload []byte) (sketch.Sketch, error) {
 			var s Sketch
 			if err := s.UnmarshalBinary(payload); err != nil {
 				return nil, err

@@ -85,6 +85,32 @@ func PeekHeader(b []byte) (kind Kind, digest uint64, ok bool) {
 //
 // hotpath: called once per absorbed message / replayed WAL record.
 func Open(b []byte) (Sketch, error) {
+	return open(nil, b)
+}
+
+// A Scratch is a reusable decode target: it keeps the last sketch it
+// decoded of each kind and decodes the next envelope of that kind into
+// it (KindInfo.Decode's dst), so a Scratch that opens a stream of
+// envelopes stops allocating once its buffers have grown to the
+// largest of them. The zero value is ready to use. A Scratch is not
+// safe for concurrent use.
+type Scratch struct {
+	last [256]Sketch // indexed by Kind
+}
+
+// Open is the package-level Open decoding into sc: it accepts and
+// refuses exactly the envelopes Open does and returns a sketch that
+// encodes identically. The sketch belongs to sc and stays valid only
+// until the next Open on sc; a caller that keeps it keeps a Clone.
+//
+// hotpath: called once per absorbed message / replayed WAL record.
+func (sc *Scratch) Open(b []byte) (Sketch, error) {
+	return open(sc, b)
+}
+
+// open is Open, decoding into sc's sketch of the envelope's kind when
+// sc is non-nil.
+func open(sc *Scratch, b []byte) (Sketch, error) {
 	if len(b) < EnvelopeHeaderSize {
 		// allocflow:cold corrupt envelopes abort the absorb, they are not streamed
 		return nil, fmt.Errorf("%w: envelope %d bytes, need %d-byte header", ErrCorrupt, len(b), EnvelopeHeaderSize)
@@ -104,9 +130,16 @@ func Open(b []byte) (Sketch, error) {
 		return nil, fmt.Errorf("%w: %s payload version %d, this build speaks %d", ErrCorrupt, info.Name, b[3], info.Version)
 	}
 	digest := binary.LittleEndian.Uint64(b[4:12])
-	s, err := info.Decode(b[EnvelopeHeaderSize:])
+	var dst Sketch
+	if sc != nil {
+		dst = sc.last[kind]
+	}
+	s, err := info.Decode(dst, b[EnvelopeHeaderSize:])
 	if err != nil {
 		return nil, err
+	}
+	if sc != nil {
+		sc.last[kind] = s
 	}
 	if s.Kind() != kind {
 		// allocflow:cold kind mismatch aborts the absorb, it is not streamed

@@ -27,6 +27,18 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary decodes a sketch encoded by MarshalBinary, replacing
 // s's state entirely.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
+	var tmp Sketch
+	if err := tmp.decode(data); err != nil {
+		return err
+	}
+	*s = tmp
+	return nil
+}
+
+// decode is UnmarshalBinary into s's own bitmap array, which is reused
+// when it is large enough. The hash functions are left to the first
+// Process. On error s is left in an unspecified state.
+func (s *Sketch) decode(data []byte) error {
 	if len(data) < 13 || data[0] != 'F' || data[1] != 'M' || data[2] != '1' {
 		return fmt.Errorf("%w: bad header", ErrCorrupt)
 	}
@@ -44,11 +56,15 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if uint64(len(rest)) != 8*numMaps {
 		return fmt.Errorf("%w: payload %d bytes, want %d", ErrCorrupt, len(rest), 8*numMaps)
 	}
-	tmp := newSketch(int(numMaps), seed, weak)
-	for i := range tmp.bitmaps {
-		tmp.bitmaps[i] = binary.LittleEndian.Uint64(rest[8*i:])
+	bitmaps := s.bitmaps
+	if uint64(cap(bitmaps)) < numMaps {
+		bitmaps = make([]uint64, numMaps)
 	}
-	*s = *tmp
+	bitmaps = bitmaps[:numMaps]
+	for i := range bitmaps {
+		bitmaps[i] = binary.LittleEndian.Uint64(rest[8*i:])
+	}
+	*s = Sketch{seed: seed, weak: weak, numMaps: int(numMaps), bitmaps: bitmaps}
 	return nil
 }
 

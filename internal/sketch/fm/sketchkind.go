@@ -14,14 +14,21 @@ func init() {
 		New: func(eps float64, seed uint64) sketch.Sketch {
 			return New(NumMapsForEpsilon(eps), seed)
 		},
-		Decode: func(payload []byte) (sketch.Sketch, error) {
-			var s Sketch
-			if err := s.UnmarshalBinary(payload); err != nil {
-				return nil, err
-			}
-			return &s, nil
-		},
+		Decode: decodeInto,
 	})
+}
+
+// decodeInto is the registry's Decode: it decodes into dst's bitmaps
+// when dst is a *Sketch, and into a fresh sketch otherwise.
+func decodeInto(dst sketch.Sketch, payload []byte) (sketch.Sketch, error) {
+	s, _ := dst.(*Sketch)
+	if s == nil {
+		s = new(Sketch)
+	}
+	if err := s.decode(payload); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Kind implements sketch.Sketch.
@@ -31,7 +38,7 @@ func (s *Sketch) Kind() sketch.Kind { return sketch.KindFM }
 func (s *Sketch) Seed() uint64 { return s.seed }
 
 // Clone implements sketch.Sketch: a copy of the bitmaps. The hash
-// functions are immutable and shared.
+// functions, once built, are immutable and shared.
 func (s *Sketch) Clone() sketch.Sketch {
 	c := *s
 	c.bitmaps = slices.Clone(s.bitmaps)

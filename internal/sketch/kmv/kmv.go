@@ -30,7 +30,10 @@ type Sketch struct {
 	// heap is a max-heap of the current bottom-k hash values, so the
 	// largest retained value (the eviction candidate) is at the root.
 	heap []uint64
-	// members dedups hash values currently in the heap.
+	// members dedups hash values currently in the heap. It is built
+	// from heap on first use (see memberSet), so a decoded or cloned
+	// sketch that is only merged from, encoded or estimated never
+	// pays for it.
 	members map[uint64]struct{}
 }
 
@@ -41,11 +44,10 @@ func New(k int, seed uint64) *Sketch {
 		panic(fmt.Sprintf("kmv: k must be >= 2, got %d", k))
 	}
 	return &Sketch{
-		k:       k,
-		seed:    seed,
-		hash:    hashing.NewPairwise(seed),
-		heap:    make([]uint64, 0, k),
-		members: make(map[uint64]struct{}, k),
+		k:    k,
+		seed: seed,
+		hash: hashing.NewPairwise(seed),
+		heap: make([]uint64, 0, k),
 	}
 }
 
@@ -63,21 +65,37 @@ func (s *Sketch) insert(v uint64) {
 	if len(s.heap) == s.k && v >= s.heap[0] {
 		return // not smaller than the current k-th value
 	}
-	if _, dup := s.members[v]; dup {
+	members := s.memberSet()
+	if _, dup := members[v]; dup {
 		return
 	}
 	if len(s.heap) < s.k {
-		s.members[v] = struct{}{}
+		members[v] = struct{}{}
 		// allocflow:amortized heap grows to k once, then replaces in place
 		s.heap = append(s.heap, v)
 		s.siftUp(len(s.heap) - 1)
 		return
 	}
 	// Replace the root (largest retained) with v.
-	delete(s.members, s.heap[0])
-	s.members[v] = struct{}{}
+	delete(members, s.heap[0])
+	members[v] = struct{}{}
 	s.heap[0] = v
 	s.siftDown(0)
+}
+
+// memberSet returns the membership map of the heap's values, building
+// it on first use.
+func (s *Sketch) memberSet() map[uint64]struct{} {
+	if s.members == nil {
+		// cap(heap) is k for a sketch from New and the retained count
+		// for a decoded one, so a decoded header's k cannot size it.
+		// allocflow:amortized built once per sketch, then kept in step with heap by insert
+		s.members = make(map[uint64]struct{}, cap(s.heap))
+		for _, v := range s.heap {
+			s.members[v] = struct{}{}
+		}
+	}
+	return s.members
 }
 
 func (s *Sketch) siftUp(i int) {
@@ -155,9 +173,10 @@ func (s *Sketch) Jaccard(other *Sketch) (float64, error) {
 		return 0, err
 	}
 	inBoth := 0
+	sm, om := s.memberSet(), other.memberSet()
 	for _, v := range union.heap {
-		_, inS := s.members[v]
-		_, inO := other.members[v]
+		_, inS := sm[v]
+		_, inO := om[v]
 		if inS && inO {
 			inBoth++
 		}

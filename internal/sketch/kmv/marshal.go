@@ -3,6 +3,7 @@ package kmv
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/hashing"
@@ -40,6 +41,26 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary decodes a sketch encoded by MarshalBinary, replacing
 // s's state entirely.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
+	var tmp Sketch
+	if err := tmp.decode(data); err != nil {
+		return err
+	}
+	*s = tmp
+	return nil
+}
+
+// decode is UnmarshalBinary into s's own buffers: the heap's backing
+// array is reused when it is large enough. On error s is left in an
+// unspecified state.
+//
+// The values arrive ascending, so written in reverse they already form
+// a valid max-heap, and no membership map is needed to find
+// duplicates: a nonzero delta makes every value larger than the one
+// before. Only a delta sum that wraps past 2^64 breaks the order;
+// then the values are sorted and checked for duplicates instead, so
+// such an encoding is accepted or refused exactly as inserting the
+// values one by one would.
+func (s *Sketch) decode(data []byte) error {
 	if len(data) < 12 || data[0] != 'K' || data[1] != 'V' || data[2] != '1' {
 		return fmt.Errorf("%w: bad header", ErrCorrupt)
 	}
@@ -55,16 +76,19 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("%w: bad count", ErrCorrupt)
 	}
 	rest = rest[n:]
-	// Allocate by the actual retained count, not by k: a forged
-	// header with a huge k must not trigger a huge allocation.
-	tmp := &Sketch{
-		k:       int(k),
-		seed:    seed,
-		hash:    hashing.NewPairwise(seed),
-		heap:    make([]uint64, 0, count),
-		members: make(map[uint64]struct{}, count),
+	// Every value takes at least one byte, so a count beyond the
+	// remaining payload is forged. Checking before allocating keeps
+	// the allocation proportional to the input, not to the declared
+	// count.
+	if count > uint64(len(rest)) {
+		return fmt.Errorf("%w: count %d exceeds payload", ErrCorrupt, count)
+	}
+	heap := s.heap[:0]
+	if uint64(cap(heap)) < count {
+		heap = make([]uint64, 0, count)
 	}
 	var v uint64
+	wrapped := false
 	for i := uint64(0); i < count; i++ {
 		delta, n := binary.Uvarint(rest)
 		if n <= 0 {
@@ -77,16 +101,24 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 			if delta == 0 {
 				return fmt.Errorf("%w: duplicate value", ErrCorrupt)
 			}
-			v += delta
+			next := v + delta
+			wrapped = wrapped || next < v
+			v = next
 		}
-		tmp.insert(v)
+		heap = append(heap, v)
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
 	}
-	if len(tmp.heap) != int(count) {
-		return fmt.Errorf("%w: duplicate values in encoding", ErrCorrupt)
+	if wrapped {
+		slices.Sort(heap)
+		for i := 1; i < len(heap); i++ {
+			if heap[i] == heap[i-1] {
+				return fmt.Errorf("%w: duplicate values in encoding", ErrCorrupt)
+			}
+		}
 	}
-	*s = *tmp
+	slices.Reverse(heap)
+	*s = Sketch{k: int(k), seed: seed, hash: hashing.NewPairwise(seed), heap: heap}
 	return nil
 }

@@ -47,9 +47,10 @@ func (s *Sketch) overlap(o *Sketch) (inBoth, inFirstOnly, kPrime int, unionEst f
 	if err := union.Merge(o); err != nil {
 		return 0, 0, 0, 0, err
 	}
+	sm, om := s.memberSet(), o.memberSet()
 	for _, v := range union.heap {
-		_, inS := s.members[v]
-		_, inO := o.members[v]
+		_, inS := sm[v]
+		_, inO := om[v]
 		switch {
 		case inS && inO:
 			inBoth++

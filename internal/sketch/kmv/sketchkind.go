@@ -1,7 +1,6 @@
 package kmv
 
 import (
-	"maps"
 	"slices"
 
 	"repro/internal/sketch"
@@ -15,14 +14,21 @@ func init() {
 		New: func(eps float64, seed uint64) sketch.Sketch {
 			return New(KForEpsilon(eps), seed)
 		},
-		Decode: func(payload []byte) (sketch.Sketch, error) {
-			var s Sketch
-			if err := s.UnmarshalBinary(payload); err != nil {
-				return nil, err
-			}
-			return &s, nil
-		},
+		Decode: decodeInto,
 	})
+}
+
+// decodeInto is the registry's Decode: it decodes into dst's heap
+// when dst is a *Sketch, and into a fresh sketch otherwise.
+func decodeInto(dst sketch.Sketch, payload []byte) (sketch.Sketch, error) {
+	s, _ := dst.(*Sketch)
+	if s == nil {
+		s = new(Sketch)
+	}
+	if err := s.decode(payload); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Kind implements sketch.Sketch.
@@ -31,12 +37,12 @@ func (s *Sketch) Kind() sketch.Kind { return sketch.KindKMV }
 // Seed implements sketch.Sketch.
 func (s *Sketch) Seed() uint64 { return s.seed }
 
-// Clone implements sketch.Sketch: copies of the heap and of its
-// membership map.
+// Clone implements sketch.Sketch: a copy of the heap. The copy
+// rebuilds its membership map if it ever needs one.
 func (s *Sketch) Clone() sketch.Sketch {
 	c := *s
 	c.heap = slices.Clone(s.heap)
-	c.members = maps.Clone(s.members)
+	c.members = nil
 	return &c
 }
 

@@ -25,9 +25,11 @@ var ErrMismatch = fmt.Errorf("ll: cannot merge sketches with different configura
 // Sketch is an HLL-style distinct count sketch. Construct with New or
 // NewWeak.
 type Sketch struct {
-	numRegs   int
-	seed      uint64
-	weak      bool
+	numRegs int
+	seed    uint64
+	weak    bool
+	// regHash and levelHash are nil until the first Process builds
+	// them (see buildHashes).
 	regHash   hashing.Family
 	levelHash hashing.Family
 	regs      []uint8
@@ -53,27 +55,38 @@ func newSketch(numRegs int, seed uint64, weak bool) *Sketch {
 	if numRegs < 16 {
 		panic(fmt.Sprintf("ll: numRegs must be >= 16, got %d", numRegs))
 	}
-	sm := hashing.NewSplitMix64(seed)
-	s := &Sketch{
+	return &Sketch{
 		numRegs: numRegs,
 		seed:    seed,
 		weak:    weak,
 		regs:    make([]uint8, numRegs),
 	}
-	if weak {
+}
+
+// buildHashes derives the register and level hash functions from the
+// seed. Only Process reads them, so they are built on its first call,
+// not with the sketch: two tabulation tables cost more to fill than a
+// whole sketch costs to decode, and a decoded sketch that is only
+// merged, encoded or estimated never needs them.
+func (s *Sketch) buildHashes() {
+	sm := hashing.NewSplitMix64(s.seed)
+	if s.weak {
 		s.regHash = hashing.NewPairwise(sm.Next())
 		s.levelHash = hashing.NewPairwise(sm.Next())
 	} else {
 		s.regHash = hashing.NewTabulation(sm.Next())
 		s.levelHash = hashing.NewTabulation(sm.Next())
 	}
-	return s
 }
 
 // Process observes one occurrence of label.
 //
 // hotpath: called once per stream item.
 func (s *Sketch) Process(label uint64) {
+	if s.regHash == nil {
+		// allocflow:amortized built once, on the sketch's first Process
+		s.buildHashes()
+	}
 	reg := s.regHash.Hash(label) % uint64(s.numRegs)
 	rank := uint8(hashing.GeometricLevel(s.levelHash.Hash(label))) + 1
 	if rank > s.regs[reg] {

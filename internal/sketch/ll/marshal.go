@@ -25,6 +25,18 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary decodes a sketch encoded by MarshalBinary, replacing
 // s's state entirely.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
+	var tmp Sketch
+	if err := tmp.decode(data); err != nil {
+		return err
+	}
+	*s = tmp
+	return nil
+}
+
+// decode is UnmarshalBinary into s's own register array, which is
+// reused when it is large enough. The hash functions are left to the
+// first Process. On error s is left in an unspecified state.
+func (s *Sketch) decode(data []byte) error {
 	if len(data) < 13 || data[0] != 'L' || data[1] != 'L' || data[2] != '1' {
 		return fmt.Errorf("%w: bad header", ErrCorrupt)
 	}
@@ -42,14 +54,18 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if uint64(len(rest)) != numRegs {
 		return fmt.Errorf("%w: payload %d bytes, want %d", ErrCorrupt, len(rest), numRegs)
 	}
-	tmp := newSketch(int(numRegs), seed, weak)
 	for i, r := range rest {
 		if r > 63 {
 			return fmt.Errorf("%w: register %d value %d out of range", ErrCorrupt, i, r)
 		}
-		tmp.regs[i] = r
 	}
-	*s = *tmp
+	regs := s.regs
+	if cap(regs) < len(rest) {
+		regs = make([]uint8, len(rest))
+	}
+	regs = regs[:len(rest)]
+	copy(regs, rest)
+	*s = Sketch{numRegs: int(numRegs), seed: seed, weak: weak, regs: regs}
 	return nil
 }
 

@@ -26,8 +26,14 @@ type KindInfo struct {
 	// underlying package constructors.
 	New func(eps float64, seed uint64) Sketch
 	// Decode parses a canonical payload (the bytes MarshalBinary
-	// produced, without the envelope header) into a fresh sketch.
-	Decode func(payload []byte) (Sketch, error)
+	// produced, without the envelope header). dst is nil or a sketch
+	// an earlier Decode of this kind returned; a kind may decode into
+	// dst's buffers and return dst, so a caller that decodes into the
+	// same dst over and over (a Scratch) stops allocating. With a nil
+	// dst the result is a fresh sketch. A caller that passes dst gives
+	// up the state dst held, whether or not Decode succeeds; dst stays
+	// fit to pass to a later Decode.
+	Decode func(dst Sketch, payload []byte) (Sketch, error)
 }
 
 // registry holds the process-wide kind table. Registration happens in

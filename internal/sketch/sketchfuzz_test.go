@@ -9,6 +9,7 @@ package sketch_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/hashing"
@@ -66,17 +67,71 @@ func TestDecodersNeverPanic(t *testing.T) {
 
 // FuzzSketchOpen drives Open with arbitrary bytes: it must never
 // panic, and anything it accepts must re-envelope to bytes Open
-// accepts again with the same kind and digest.
+// accepts again with the same kind and digest. A Scratch that has
+// already decoded an envelope of the input's kind must accept and
+// refuse exactly what Open does and decode the same sketch; for the
+// kmv, hll and fm kinds, so must the kinds' old decoders
+// (refdecode_test.go).
 func FuzzSketchOpen(f *testing.F) {
+	// warm holds an envelope of every kind in another configuration:
+	// each input's Scratch decodes the one of the input's kind first.
+	warm := map[byte][]byte{}
 	for _, info := range sketch.Kinds() {
 		f.Add(seedEnvelope(f, info))
+		sk := info.New(0.5, 7)
+		for x := uint64(0); x < 300; x++ {
+			sk.Process(x * 7919)
+		}
+		env, err := sketch.Envelope(sk)
+		if err != nil {
+			f.Fatal(err)
+		}
+		warm[byte(info.Kind)] = env
 	}
 	f.Add([]byte{})
 	f.Add([]byte{sketch.EnvelopeMagic0, sketch.EnvelopeMagic1})
+	// A kmv payload whose deltas wrap past 2^64: 2^64-10, 5, 25.
+	wrapped := []byte{sketch.EnvelopeMagic0, sketch.EnvelopeMagic1, byte(sketch.KindKMV), 1}
+	wrapped = binary.LittleEndian.AppendUint64(wrapped, sketch.ConfigDigest(sketch.KindKMV, 8, 9))
+	wrapped = append(wrapped, 'K', 'V', '1', 9, 0, 0, 0, 0, 0, 0, 0, 8, 3)
+	for _, v := range []uint64{1<<64 - 10, 15, 20} {
+		wrapped = binary.AppendUvarint(wrapped, v)
+	}
+	f.Add(wrapped)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var sc sketch.Scratch
+		if len(data) > 2 && warm[data[2]] != nil {
+			if _, err := sc.Open(warm[data[2]]); err != nil {
+				t.Fatalf("warming the scratch: %v", err)
+			}
+		}
+		scSk, scErr := sc.Open(data)
 		sk, err := sketch.Open(data)
+		if (scErr == nil) != (err == nil) {
+			t.Fatalf("Open err %v, Scratch.Open err %v", err, scErr)
+		}
+		if len(data) >= sketch.EnvelopeHeaderSize && data[0] == sketch.EnvelopeMagic0 && data[1] == sketch.EnvelopeMagic1 && data[3] == 1 {
+			canon, digest, rerr, ok := refDecode(sketch.Kind(data[2]), data[sketch.EnvelopeHeaderSize:])
+			if ok {
+				if rerr == nil && digest != binary.LittleEndian.Uint64(data[4:12]) {
+					rerr = errRef // Open's digest cross-check
+				}
+				if (rerr == nil) != (err == nil) {
+					t.Fatalf("Open err %v, old decoder err %v", err, rerr)
+				}
+				if err == nil {
+					if got, _ := sk.MarshalBinary(); !bytes.Equal(got, canon) {
+						t.Fatalf("Open decoded % x, old decoder % x", got, canon)
+					}
+				}
+			}
+		}
 		if err != nil {
 			return
+		}
+		got, _ := sk.MarshalBinary()
+		if scGot, _ := scSk.MarshalBinary(); !bytes.Equal(scGot, got) || scSk.Digest() != sk.Digest() {
+			t.Fatalf("Scratch.Open decoded a different sketch from Open")
 		}
 		env, err := sketch.Envelope(sk)
 		if err != nil {

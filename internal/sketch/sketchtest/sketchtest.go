@@ -82,7 +82,7 @@ func Conform(t *testing.T, info sketch.KindInfo) {
 
 	t.Run("round-trip", func(t *testing.T) {
 		enc := canon(t, a)
-		dec, err := info.Decode(enc)
+		dec, err := info.Decode(nil, enc)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -92,6 +92,46 @@ func Conform(t *testing.T, info sketch.KindInfo) {
 		if dec.Kind() != a.Kind() || dec.Seed() != a.Seed() || dec.Digest() != a.Digest() {
 			t.Errorf("round-trip changed identity: kind %v/%v seed %d/%d digest %x/%x",
 				dec.Kind(), a.Kind(), dec.Seed(), a.Seed(), dec.Digest(), a.Digest())
+		}
+	})
+
+	t.Run("decode-into", func(t *testing.T) {
+		// Decoding into a sketch an earlier Decode returned, as a
+		// Scratch does, must give what a fresh decode gives whatever
+		// that sketch held before (another seed, other labels, a
+		// refused payload), and a Clone kept from it must not change
+		// when it is decoded into again.
+		var dst, kept sketch.Sketch
+		var keptEnc []byte
+		other := build(t, info, 2, 0, 3000)
+		for i, src := range []sketch.Sketch{other, a, c, a} {
+			enc := canon(t, src)
+			got, err := info.Decode(dst, enc)
+			if err != nil {
+				t.Fatalf("decode %d into reused sketch: %v", i, err)
+			}
+			if !bytes.Equal(canon(t, got), enc) {
+				t.Errorf("decode %d into reused sketch: decode→marshal is not the identity", i)
+			}
+			if got.Digest() != src.Digest() || got.Seed() != src.Seed() {
+				t.Errorf("decode %d into reused sketch changed identity", i)
+			}
+			if math.Float64bits(got.Estimate()) != math.Float64bits(src.Estimate()) {
+				t.Errorf("decode %d into reused sketch: estimate %v, want %v", i, got.Estimate(), src.Estimate())
+			}
+			if gs, ok := got.(sketch.Summer); ok {
+				if want := src.(sketch.Summer).EstimateSum(); math.Float64bits(gs.EstimateSum()) != math.Float64bits(want) {
+					t.Errorf("decode %d into reused sketch: sum estimate %v, want %v", i, gs.EstimateSum(), want)
+				}
+			}
+			if kept != nil && !bytes.Equal(canon(t, kept), keptEnc) {
+				t.Errorf("decode %d changed a clone of the previous result", i)
+			}
+			kept, keptEnc = got.Clone(), enc
+			if _, err := info.Decode(got, nil); err == nil {
+				t.Fatalf("empty payload decoded without error")
+			}
+			dst = got
 		}
 	})
 

@@ -45,7 +45,7 @@ func init() {
 			}
 			return NewUnion(Config{Capacity: c, Seed: seed})
 		},
-		Decode: func(payload []byte) (sketch.Sketch, error) {
+		Decode: func(_ sketch.Sketch, payload []byte) (sketch.Sketch, error) {
 			s, err := Decode(payload)
 			if err != nil {
 				return nil, err
